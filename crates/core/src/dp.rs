@@ -33,10 +33,15 @@
 //!   buffer that is compacted by the dominance sweep whenever it doubles,
 //!   so the full |L|·|R| product never has to be held live and the
 //!   `budget.admit_candidates` gate applies to the *surviving* count;
+//! * **run-merging prune** — callers tell the dominance sweep how long a
+//!   prefix they already hold in sweep order, so only the unsorted tail
+//!   is sorted and merged in, and the lower-count frontier is a staircase
+//!   read by a forward cursor and extended by one linear merge per class;
 //! * **scratch reuse** — every list, frontier, and best-per-class table
 //!   lives in a [`DpScratch`] reused across nodes and (via
 //!   [`crate::workspace::DpWorkspace`]) across nets.
 
+use std::cmp::Ordering;
 use std::mem;
 use std::sync::Arc;
 
@@ -203,8 +208,12 @@ pub(crate) struct DpScratch {
     pool: Vec<Vec<DpCand>>,
     /// Fused-merge row buffer.
     rows: Vec<MergeRow>,
-    /// Dominance frontier: (cap ascending, prefix-max q).
-    frontier: Vec<(f64, f64)>,
+    /// Sweep prune: the lower-count dominance frontier.
+    frontier: Staircase,
+    /// Sweep prune: out-of-place copy of a presorted candidate run.
+    head_cands: Vec<DpCand>,
+    /// Sweep prune: out-of-place copy of a presorted merge-row run.
+    head_rows: Vec<MergeRow>,
     /// Per-buffer best-per-class tables.
     best: Vec<Vec<Option<BestBuf>>>,
     /// Freshly buffered candidates (plain insertion path).
@@ -247,6 +256,8 @@ impl DpScratch {
         }
         self.rows.clear();
         self.frontier.clear();
+        self.head_cands.clear();
+        self.head_rows.clear();
         self.fresh.clear();
         self.order.clear();
         self.keep.clear();
@@ -289,14 +300,8 @@ fn clamp_stratified(cands: &mut Vec<DpCand>, k: usize) {
     if cands.len() <= k {
         return;
     }
-    cands.sort_by(|a, b| {
-        a.parity
-            .cmp(&b.parity)
-            .then(a.count.cmp(&b.count))
-            .then(a.cap.partial_cmp(&b.cap).expect("finite caps"))
-            .then(b.q.partial_cmp(&a.q).expect("finite slacks"))
-            .then(a.cost.partial_cmp(&b.cost).expect("finite costs"))
-    });
+    cands
+        .sort_by(|a, b| sweep_order(a, b).then(a.cost.partial_cmp(&b.cost).expect("finite costs")));
     let n = cands.len();
     if k == 1 {
         cands.truncate(1);
@@ -313,54 +318,114 @@ fn clamp_stratified(cands: &mut Vec<DpCand>, k: usize) {
     cands.truncate(write);
 }
 
-fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch) {
+/// Prunes `cands` in the configured dominance mode. `sorted_prefix` is
+/// how many leading candidates the caller already holds in sweep order
+/// (a hint: it is verified, and only the paper's sweep uses it).
+fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch, sorted_prefix: usize) {
     if cands.len() <= 1 {
         return;
     }
     if cfg.conservative || cfg.cost_aware {
         prune_pairwise(cands, cfg, &mut scratch.order, &mut scratch.keep);
     } else {
-        sweep_prune(cands, &mut scratch.frontier);
+        sweep_prune(
+            cands,
+            sorted_prefix,
+            &mut scratch.head_cands,
+            &mut scratch.frontier,
+        );
     }
 }
 
-/// Paper pruning as an in-place sweep: sort by (parity, count, cap, −q)
-/// and compact, carrying the cumulative lower-count frontier per parity.
-/// A candidate survives its class iff its q strictly exceeds everything
-/// cheaper in-class and beats the frontier of lower counts.
-fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
+/// The sweep order: (parity, count) classes ascending, then cap
+/// ascending, then q descending.
+fn sweep_order(a: &DpCand, b: &DpCand) -> Ordering {
+    a.parity
+        .cmp(&b.parity)
+        .then(a.count.cmp(&b.count))
+        .then(a.cap.partial_cmp(&b.cap).expect("finite caps"))
+        .then(b.q.partial_cmp(&a.q).expect("finite slacks"))
+}
+
+/// Stable-sorts `items` into sweep order when `items[..sorted_prefix]`
+/// is (claimed to be) in that order already: only the tail is sorted,
+/// then the two runs are merged, prefix first on ties — exactly the
+/// stable sort of the whole list. The claim is checked in linear time
+/// and the prefix sorted when it fails (a wire climb can round two
+/// ascending caps into a tie whose q order then reads backwards).
+/// `head` is reusable scratch for the out-of-place part of the merge.
+fn sort_sweep_order<R: Row>(items: &mut [R], sorted_prefix: usize, head: &mut Vec<R>) {
+    let by_key = |a: &R, b: &R| sweep_order(a.cand(), b.cand());
+    let split = sorted_prefix.min(items.len());
+    let (prefix, tail) = items.split_at_mut(split);
+    if !prefix.is_sorted_by(|a, b| by_key(a, b) != Ordering::Greater) {
+        prefix.sort_by(by_key);
+    }
+    tail.sort_by(by_key);
+    let Some(first_tail) = tail.first() else {
+        return;
+    };
+    // Prefix rows ordered before the whole tail are already in place.
+    let mut w = prefix.partition_point(|x| by_key(x, first_tail) != Ordering::Greater);
+    if w == split {
+        return;
+    }
+    head.clear();
+    head.extend_from_slice(&prefix[w..]);
+    // Writes trail the tail's read cursor (w ≤ j), so the merge is in
+    // place apart from the copied head run.
+    let (mut i, mut j) = (0, split);
+    while i < head.len() && j < items.len() {
+        if by_key(&items[j], &head[i]) == Ordering::Less {
+            items[w] = items[j];
+            j += 1;
+        } else {
+            items[w] = head[i];
+            i += 1;
+        }
+        w += 1;
+    }
+    items[w..w + head.len() - i].copy_from_slice(&head[i..]);
+}
+
+/// Paper pruning as an in-place sweep over the sweep order (see
+/// [`sort_sweep_order`] for `sorted_prefix`), carrying the cumulative
+/// lower-count frontier per parity. A candidate survives its class iff
+/// its q strictly exceeds everything cheaper in-class and beats the best
+/// q of lower counts at cap ≤ its own.
+fn sweep_prune<R: Row>(
+    items: &mut Vec<R>,
+    sorted_prefix: usize,
+    head: &mut Vec<R>,
+    frontier: &mut Staircase,
+) {
     if items.len() <= 1 {
         return;
     }
+    sort_sweep_order(items, sorted_prefix, head);
     frontier.clear();
-    items.sort_by(|a, b| {
-        let (a, b) = (a.cand(), b.cand());
-        a.parity
-            .cmp(&b.parity)
-            .then(a.count.cmp(&b.count))
-            .then(a.cap.partial_cmp(&b.cap).expect("finite caps"))
-            .then(b.q.partial_cmp(&a.q).expect("finite slacks"))
-    });
     let n = items.len();
     let mut i = 0;
     let mut write = 0;
     let mut prev_parity = items[0].cand().parity;
     while i < n {
-        let head = *items[i].cand();
-        let (count, parity) = (head.count, head.parity);
+        let (count, parity) = (items[i].cand().count, items[i].cand().parity);
         if parity != prev_parity {
             frontier.clear(); // parities are incomparable
             prev_parity = parity;
         }
         let class_start = write;
         let mut best_q = f64::NEG_INFINITY;
+        // Caps ascend within a class, so the lower-count query only ever
+        // moves forward along the staircase.
+        let mut lower = frontier.cursor();
         while i < n {
             let r = items[i];
             let c = *r.cand();
             if c.count != count || c.parity != parity {
                 break;
             }
-            let dominated = c.q <= best_q || frontier_max_q(frontier, c.cap) >= c.q;
+            let dominated = c.q <= best_q || lower.best_at(c.cap) >= c.q;
             if !dominated {
                 best_q = c.q;
                 items[write] = r;
@@ -368,13 +433,94 @@ fn sweep_prune<R: Row>(items: &mut Vec<R>, frontier: &mut Vec<(f64, f64)>) {
             }
             i += 1;
         }
-        // Class survivors join the frontier for higher counts.
-        for r in &items[class_start..write] {
-            let c = r.cand();
-            frontier_insert(frontier, c.cap, c.q);
+        // Class survivors join the frontier for higher counts of the
+        // same parity.
+        if i < n && items[i].cand().parity == parity {
+            frontier.absorb(&items[class_start..write]);
         }
     }
     items.truncate(write);
+}
+
+/// The sweep's lower-count dominance frontier: `(cap, q)` steps with cap
+/// non-decreasing and q strictly increasing, so the best q among
+/// everything absorbed at cap ≤ c is the q of the last step at or left
+/// of c.
+#[derive(Debug, Default)]
+struct Staircase {
+    steps: Vec<(f64, f64)>,
+    /// Merge target of [`Staircase::absorb`], swapped in afterwards.
+    spare: Vec<(f64, f64)>,
+}
+
+impl Staircase {
+    fn clear(&mut self) {
+        self.steps.clear();
+    }
+
+    fn cursor(&self) -> StairCursor<'_> {
+        StairCursor {
+            steps: &self.steps,
+            next: 0,
+            best: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Folds class survivors — cap and q both ascending, as the sweep
+    /// emits them — into the staircase with one linear merge, keeping
+    /// only steps that raise the running max q.
+    fn absorb<R: Row>(&mut self, survivors: &[R]) {
+        let Staircase { steps, spare } = self;
+        spare.clear();
+        let mut run = f64::NEG_INFINITY;
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (cap, q) = match (steps.get(i), survivors.get(j)) {
+                (Some(&s), Some(r)) if s.0 <= r.cand().cap => {
+                    i += 1;
+                    s
+                }
+                (_, Some(r)) => {
+                    j += 1;
+                    (r.cand().cap, r.cand().q)
+                }
+                (Some(&s), None) => {
+                    i += 1;
+                    s
+                }
+                (None, None) => break,
+            };
+            if q > run {
+                run = q;
+                spare.push((cap, q));
+            }
+        }
+        mem::swap(steps, spare);
+    }
+}
+
+/// Forward cursor over a [`Staircase`]: answers "best q at cap ≤ c" for
+/// a non-decreasing sequence of c in amortized constant time.
+struct StairCursor<'a> {
+    steps: &'a [(f64, f64)],
+    next: usize,
+    best: f64,
+}
+
+impl StairCursor<'_> {
+    /// Best q among steps with cap ≤ `cap` (−∞ if none). `cap` must not
+    /// be below the previous query's.
+    #[inline]
+    fn best_at(&mut self, cap: f64) -> f64 {
+        while let Some(&(c, q)) = self.steps.get(self.next) {
+            if c > cap {
+                break;
+            }
+            self.best = q;
+            self.next += 1;
+        }
+        self.best
+    }
 }
 
 /// Pairwise dominance over every tracked dimension (conservative /
@@ -449,51 +595,6 @@ fn prune_pairwise(
         cands[w] = cands[ki as usize];
     }
     cands.truncate(keep.len());
-}
-
-/// Max `q` among frontier entries with `cap ≤ limit` (−∞ if none).
-pub(crate) fn frontier_max_q(frontier: &[(f64, f64)], limit: f64) -> f64 {
-    // frontier is sorted by cap ascending with strictly increasing prefix
-    // max q (we store the running max directly).
-    match frontier.binary_search_by(|&(cap, _)| cap.partial_cmp(&limit).expect("finite caps")) {
-        Ok(mut idx) => {
-            // Multiple equal caps collapse on insert; step to the entry.
-            while idx + 1 < frontier.len() && frontier[idx + 1].0 <= limit {
-                idx += 1;
-            }
-            frontier[idx].1
-        }
-        Err(0) => f64::NEG_INFINITY,
-        Err(idx) => frontier[idx - 1].1,
-    }
-}
-
-/// Inserts `(cap, q)` keeping caps ascending and q the running prefix max.
-pub(crate) fn frontier_insert(frontier: &mut Vec<(f64, f64)>, cap: f64, q: f64) {
-    let pos = frontier
-        .binary_search_by(|&(c, _)| c.partial_cmp(&cap).expect("finite caps"))
-        .unwrap_or_else(|e| e);
-    // q must beat the prefix max to matter.
-    let prefix = if pos == 0 {
-        f64::NEG_INFINITY
-    } else {
-        frontier[pos - 1].1
-    };
-    if q <= prefix {
-        return;
-    }
-    frontier.insert(pos, (cap, q.max(prefix)));
-    // Fix running max downstream and drop obsolete entries.
-    let mut run = q.max(prefix);
-    let mut j = pos + 1;
-    while j < frontier.len() {
-        if frontier[j].1 <= run {
-            frontier.remove(j);
-        } else {
-            run = frontier[j].1;
-            j += 1;
-        }
-    }
 }
 
 /// Applies the parent wire of a node to every candidate in place (paper
@@ -611,18 +712,20 @@ const PREDICTIVE_MIN_PRODUCT: usize = 256;
 
 /// The Li–Shi sorted-frontier invariant every sweep-pruned candidate list
 /// maintains (DESIGN §15): (parity, count) classes are contiguous and in
-/// ascending order, and capacitance is *strictly* ascending within each
-/// class. `sweep_prune` establishes it, `climb_in_place` (uniform cap
-/// shift, order-preserving retain) and `clamp_stratified` (sorted
-/// subsequence) preserve it, and memo-seeded frontiers inherit it from
-/// the post-prune snapshot they were stored from.
+/// ascending order, and capacitance is non-decreasing within each class.
+/// `sweep_prune` establishes it (with strictly ascending caps),
+/// `climb_in_place` (uniform cap shift, order-preserving retain) and
+/// `clamp_stratified` (sorted subsequence) preserve it, and memo-seeded
+/// frontiers inherit it from the post-prune snapshot they were stored
+/// from. The climb's shift is rounded per row, so it can turn two
+/// adjacent ascending caps into a tie: strictness is not preserved.
 fn frontier_is_class_sorted(list: &[DpCand]) -> bool {
     list.windows(2).all(|w| {
         let (a, b) = (&w[0], &w[1]);
         match a.parity.cmp(&b.parity).then(a.count.cmp(&b.count)) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Equal => a.cap < b.cap,
-            std::cmp::Ordering::Greater => false,
+            Ordering::Less => true,
+            Ordering::Equal => a.cap <= b.cap,
+            Ordering::Greater => false,
         }
     })
 }
@@ -644,15 +747,19 @@ fn class_ranges(list: &[DpCand], out: &mut Vec<(u32, u32)>) {
 
 /// Fills `wit[k]` with row k's *witness envelope*: the largest q among
 /// earlier rows of the same (parity, count) class that can stand in for
-/// row k in any merge pair — strictly smaller cap (sort order), equal
-/// count and parity, and, when `conditioned` (a noise-guarded best table
-/// is live), no worse coupling current and no worse noise slack, so the
-/// witness passes every buffer's legality guard whenever row k's pair
-/// does. A merge pair `(k, b)` with `b.q ≤ wit[k]` is weakly dominated by
-/// the witness pair `(w, b)` — generated earlier, smaller cap, merged q
-/// at least as large — so the dominance sweep would discard it and its
+/// row k in any merge pair — no larger cap (sort order), equal count and
+/// parity, and, when `conditioned` (a noise-guarded best table is live),
+/// no worse coupling current and no worse noise slack, so the witness
+/// passes every buffer's legality guard whenever row k's pair does. A
+/// merge pair `(k, b)` with `b.q ≤ wit[k]` is weakly dominated by the
+/// witness pair `(w, b)` — generated earlier, cap no larger, merged q at
+/// least as large — so the dominance sweep would discard it and its
 /// best-table bids can never beat the witness's (strict `>` slot update,
-/// earlier-equal wins). Skipping it changes nothing downstream.
+/// earlier-equal wins). Skipping it changes nothing downstream. The skip
+/// stays sound when a climb has tied the two caps: the witness pair then
+/// has the same cap and a q at least as large, so under the stable
+/// (cap ascending, q descending) sweep order it still sorts first and
+/// dominates.
 fn witness_envelopes(list: &[DpCand], conditioned: bool, wit: &mut Vec<f64>, qord: &mut Vec<u32>) {
     wit.clear();
     wit.resize(list.len(), f64::NEG_INFINITY);
@@ -768,8 +875,8 @@ fn fused_emit(
 /// sweep whenever it doubles — the full |L|·|R| product is never live.
 ///
 /// Above [`PREDICTIVE_MIN_PRODUCT`], the enumeration itself goes
-/// Li–Shi (DESIGN §15): both operands are class-sorted with strictly
-/// ascending caps, so a per-row witness envelope ([`witness_envelopes`])
+/// Li–Shi (DESIGN §15): both operands are class-sorted with ascending
+/// caps, so a per-row witness envelope ([`witness_envelopes`])
 /// bounds what any pair starting at that row could contribute, and whole
 /// cap ranges of the partner frontier are skipped *before* their cross
 /// products exist — via a per-class prefix-max binary search for the
@@ -781,7 +888,8 @@ fn fused_emit(
 /// surviving rows, slot winners, provenance, and solutions are bitwise
 /// those of the full enumeration.
 ///
-/// Returns the pruned product plus the freshly buffered candidates.
+/// Returns the pruned product (in sweep order) followed by the freshly
+/// buffered candidates, and the length of that sorted head.
 #[allow(clippy::too_many_arguments)]
 fn merge_fused(
     v: NodeId,
@@ -793,7 +901,7 @@ fn merge_fused(
     budget: &RunBudget,
     scratch: &mut DpScratch,
     stats: &mut DpStats,
-) -> Result<Vec<DpCand>, CoreError> {
+) -> Result<(Vec<DpCand>, usize), CoreError> {
     debug_assert!(!cfg.conservative && !cfg.cost_aware);
     debug_assert!(
         frontier_is_class_sorted(left),
@@ -809,6 +917,7 @@ fn merge_fused(
         arena,
         rows,
         frontier,
+        head_rows,
         best,
         wit_l,
         wit_r,
@@ -823,6 +932,9 @@ fn merge_fused(
         t.clear();
     }
     let mut generated = 0usize;
+    // Rows below this index are the last compaction's survivors, already
+    // in sweep order.
+    let mut sorted_rows = 0usize;
     let mut compact_at = 1024usize;
     let mut tick = 0usize;
     if product < PREDICTIVE_MIN_PRODUCT {
@@ -851,7 +963,8 @@ fn merge_fused(
                 generated += 1;
                 if rows.len() >= compact_at {
                     budget.checkpoint()?;
-                    sweep_prune(rows, frontier);
+                    sweep_prune(rows, sorted_rows, head_rows, frontier);
+                    sorted_rows = rows.len();
                     compact_at = (rows.len() * 2).max(1024);
                 }
             }
@@ -929,7 +1042,8 @@ fn merge_fused(
                         generated += 1;
                         if rows.len() >= compact_at {
                             budget.checkpoint()?;
-                            sweep_prune(rows, frontier);
+                            sweep_prune(rows, sorted_rows, head_rows, frontier);
+                            sorted_rows = rows.len();
                             compact_at = (rows.len() * 2).max(1024);
                         }
                     }
@@ -944,7 +1058,7 @@ fn merge_fused(
     if generated == 0 {
         return Err(CoreError::NoFeasibleCandidate);
     }
-    sweep_prune(rows, frontier);
+    sweep_prune(rows, sorted_rows, head_rows, frontier);
     out.reserve(rows.len());
     for r in rows.iter() {
         let mut c = r.cand;
@@ -961,7 +1075,7 @@ fn merge_fused(
             }
         }
     }
-    Ok(out)
+    Ok((out, rows.len()))
 }
 
 /// Degrade-in-place for the materialized merge: when the pending |L|·|R|
@@ -1321,7 +1435,10 @@ pub(crate) fn run_with_memo(
         let feasible = tree.node(v).kind.is_feasible_site();
         // The fused path folds buffer insertion into the merge.
         let mut buffered = false;
-        let mut cands: Vec<DpCand> = if let Some(spec) = tree.sink_spec(v) {
+        // `sorted` counts the leading candidates already in sweep order
+        // (a climbed child frontier, or the fused merge's pruned product),
+        // which the node's prune then need not sort again.
+        let (mut cands, mut sorted) = if let Some(spec) = tree.sink_spec(v) {
             let mut list = scratch.alloc();
             list.push(DpCand {
                 cap: spec.capacitance,
@@ -1333,14 +1450,15 @@ pub(crate) fn run_with_memo(
                 parity: false,
                 prov: NONE,
             });
-            list
+            (list, 1)
         } else {
             match *tree.children(v) {
                 [c] => {
                     let mut list = mem::take(&mut scratch.lists[c.index()]);
                     let wire = tree.parent_wire(c).expect("child has wire");
                     climb_in_place(&mut list, wire, wire_current(c), cfg)?;
-                    list
+                    let n = list.len();
+                    (list, n)
                 }
                 [cl, cr] => {
                     let mut left = mem::take(&mut scratch.lists[cl.index()]);
@@ -1357,7 +1475,9 @@ pub(crate) fn run_with_memo(
                             // erroring.
                             degrade_merge_operands(&mut left, &mut right, &budget, &mut stats);
                         }
-                        merge_materialized(&left, &right, cfg, &budget, scratch, &mut stats)?
+                        let m =
+                            merge_materialized(&left, &right, cfg, &budget, scratch, &mut stats)?;
+                        (m, 0)
                     } else {
                         buffered = true;
                         merge_fused(
@@ -1381,9 +1501,10 @@ pub(crate) fn run_with_memo(
                 // first (the gate intentionally sees the pre-prune
                 // count), then clamp the survivors to the cap. The run
                 // finishes with a feasible-but-suboptimal frontier.
-                prune(&mut cands, cfg, scratch);
+                prune(&mut cands, cfg, scratch, sorted);
                 let cap = budget.max_candidates.unwrap_or(usize::MAX).max(1);
                 clamp_stratified(&mut cands, cap);
+                sorted = cands.len();
                 if stats.degraded_by.is_none() {
                     stats.degraded_by = Some(BudgetResource::Candidates);
                 }
@@ -1391,7 +1512,7 @@ pub(crate) fn run_with_memo(
             Err(e) => return Err(e),
         }
         stats.peak_candidates = stats.peak_candidates.max(cands.len());
-        prune(&mut cands, cfg, scratch);
+        prune(&mut cands, cfg, scratch, sorted);
         let arena_bytes = scratch.arena.bytes();
         stats.peak_arena_bytes = stats.peak_arena_bytes.max(arena_bytes);
         if let Err(e) = budget.admit_arena_bytes(arena_bytes) {
@@ -1479,6 +1600,7 @@ pub(crate) fn run_with_memo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp_reference::{frontier_insert, frontier_max_q};
     use buffopt_buffers::catalog;
     use buffopt_tree::{Driver, SinkSpec, TreeBuilder};
     use proptest::prelude::*;
@@ -1498,7 +1620,7 @@ mod tests {
 
     fn prune_standalone(v: &mut Vec<DpCand>, cfg: &DpConfig) {
         let mut scratch = DpScratch::default();
-        prune(v, cfg, &mut scratch);
+        prune(v, cfg, &mut scratch, 0);
     }
 
     #[test]
@@ -1669,6 +1791,106 @@ mod tests {
         ]
     }
 
+    /// The sweep prune as it stood before the staircase, kept as the
+    /// oracle: a stable sort of the whole list, then the seed engine's
+    /// binary-searched frontier queried and extended row by row.
+    fn sweep_prune_oracle<R: Row>(items: &mut Vec<R>) {
+        if items.len() <= 1 {
+            return;
+        }
+        let mut frontier: Vec<(f64, f64)> = Vec::new();
+        items.sort_by(|a, b| {
+            let (a, b) = (a.cand(), b.cand());
+            a.parity
+                .cmp(&b.parity)
+                .then(a.count.cmp(&b.count))
+                .then(a.cap.partial_cmp(&b.cap).expect("finite caps"))
+                .then(b.q.partial_cmp(&a.q).expect("finite slacks"))
+        });
+        let n = items.len();
+        let mut i = 0;
+        let mut write = 0;
+        let mut prev_parity = items[0].cand().parity;
+        while i < n {
+            let head = *items[i].cand();
+            let (count, parity) = (head.count, head.parity);
+            if parity != prev_parity {
+                frontier.clear();
+                prev_parity = parity;
+            }
+            let class_start = write;
+            let mut best_q = f64::NEG_INFINITY;
+            while i < n {
+                let r = items[i];
+                let c = *r.cand();
+                if c.count != count || c.parity != parity {
+                    break;
+                }
+                let dominated = c.q <= best_q || frontier_max_q(&frontier, c.cap) >= c.q;
+                if !dominated {
+                    best_q = c.q;
+                    items[write] = r;
+                    write += 1;
+                }
+                i += 1;
+            }
+            for r in &items[class_start..write] {
+                let c = r.cand();
+                frontier_insert(&mut frontier, c.cap, c.q);
+            }
+        }
+        items.truncate(write);
+    }
+
+    /// Every field of a candidate, bit for bit (so ±0.0 differ).
+    fn cand_bits(c: &DpCand) -> (u64, u64, u64, u64, usize, u64, bool, u32) {
+        (
+            c.cap.to_bits(),
+            c.q.to_bits(),
+            c.cur.to_bits(),
+            c.ns.to_bits(),
+            c.count,
+            c.cost.to_bits(),
+            c.parity,
+            c.prov,
+        )
+    }
+
+    /// Row `i` of a sweep-prune fixture: coarse grids force cap ties,
+    /// (cap, q) key ties and both signs of zero; `prov` is the row's
+    /// input position, so rows with equal keys stay distinguishable and
+    /// the output order is checked, not just the surviving set.
+    fn sweep_row(i: usize, g: (u8, u8, u8, u8)) -> DpCand {
+        let (cap_g, q_g, count, flags) = g;
+        let signed = |x: f64, neg: bool| if neg { -x } else { x };
+        DpCand {
+            cap: signed(f64::from(cap_g) * 1e-14, cap_g == 0 && flags & 2 != 0),
+            q: signed(f64::from(q_g) * 1e-10, q_g == 0 && flags & 4 != 0),
+            cur: 0.0,
+            ns: 1.0,
+            count: usize::from(count),
+            cost: 0.0,
+            parity: flags & 1 == 1,
+            prov: u32::try_from(i).expect("small fixture"),
+        }
+    }
+
+    /// Lays out the prefix hint a caller would pass: kind 0 sorts the
+    /// first `split` rows and claims them, kind 1 sorts them and claims
+    /// seven more (possibly past the end), kind 2 claims `split` unsorted
+    /// rows. Returns the hint.
+    fn apply_hint<R: Row>(rows: &mut [R], kind: u8, split: usize) -> usize {
+        let split = split.min(rows.len());
+        if kind < 2 {
+            rows[..split].sort_by(|a, b| sweep_order(a.cand(), b.cand()));
+        }
+        if kind == 1 {
+            split + 7
+        } else {
+            split
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1741,6 +1963,45 @@ mod tests {
             }
         }
 
+        /// The run-merging staircase sweep returns bitwise the rows, in
+        /// the order, that the full-sort oracle returns — for plain
+        /// candidates and merge rows, whatever prefix hint the caller
+        /// gives (right, too long, or wrong).
+        #[test]
+        fn prop_sweep_prune_matches_full_sort_oracle(
+            grids in prop::collection::vec((0u8..5, 0u8..6, 0u8..3, 0u8..8), 0..48),
+            kind in 0u8..3,
+            split in 0usize..48,
+        ) {
+            let mut input: Vec<DpCand> =
+                grids.iter().enumerate().map(|(i, &g)| sweep_row(i, g)).collect();
+            let hint = apply_hint(&mut input, kind, split);
+            let mut head = Vec::new();
+            let mut frontier = Staircase::default();
+
+            let mut got = input.clone();
+            sweep_prune(&mut got, hint, &mut head, &mut frontier);
+            let mut expect = input.clone();
+            sweep_prune_oracle(&mut expect);
+            let got: Vec<_> = got.iter().map(cand_bits).collect();
+            let expect: Vec<_> = expect.iter().map(cand_bits).collect();
+            prop_assert_eq!(got, expect);
+
+            let rows: Vec<MergeRow> = input
+                .iter()
+                .map(|c| MergeRow { cand: *c, left: c.prov, right: !c.prov })
+                .collect();
+            let row_bits = |r: &MergeRow| (cand_bits(&r.cand), r.left, r.right);
+            let mut head = Vec::new();
+            let mut got = rows.clone();
+            sweep_prune(&mut got, hint, &mut head, &mut frontier);
+            let mut expect = rows;
+            sweep_prune_oracle(&mut expect);
+            let got: Vec<_> = got.iter().map(row_bits).collect();
+            let expect: Vec<_> = expect.iter().map(row_bits).collect();
+            prop_assert_eq!(got, expect);
+        }
+
         /// Fused merge-prune computes exactly `prune(insert_buffers(merge(L, R)))`
         /// of the materialized seed pipeline, in every sweep-pruned mode —
         /// the core claim that lets the |L|·|R| product stay virtual.
@@ -1782,8 +2043,8 @@ mod tests {
                 let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
                 let mut s0 = DpScratch::default();
                 s0.reset(2, lib.len());
-                prune(&mut left, &cfg, &mut s0);
-                prune(&mut right, &cfg, &mut s0);
+                prune(&mut left, &cfg, &mut s0, 0);
+                prune(&mut right, &cfg, &mut s0, 0);
                 if left.is_empty()
                     || right.is_empty()
                     || climb_in_place(&mut left, &wire, iw, &cfg).is_err()
@@ -1802,12 +2063,12 @@ mod tests {
                 let mut stats2 = DpStats::default();
                 let mat = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats2);
                 match (fused, mat) {
-                    (Ok(mut f), Ok(mut m)) => {
+                    (Ok((mut f, head)), Ok(mut m)) => {
                         if feasible {
                             insert_buffers_plain(v, &mut m, &lib, &cfg, &mut s2);
                         }
-                        prune(&mut f, &cfg, &mut s1);
-                        prune(&mut m, &cfg, &mut s2);
+                        prune(&mut f, &cfg, &mut s1, head);
+                        prune(&mut m, &cfg, &mut s2, 0);
                         prop_assert_eq!(f.len(), m.len(), "cfg {:?}", cfg);
                         for (a, b) in f.iter().zip(m.iter()) {
                             prop_assert!(
@@ -1841,7 +2102,7 @@ mod tests {
                     (f, m) => prop_assert!(
                         false,
                         "engines disagree on feasibility: fused {:?}, materialized {:?}",
-                        f.map(|x| x.len()),
+                        f.map(|x| x.0.len()),
                         m.map(|x| x.len())
                     ),
                 }
@@ -1876,8 +2137,8 @@ mod tests {
             let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
             let mut s = DpScratch::default();
             s.reset(2, lib.len());
-            prune(&mut left, &cfg, &mut s);
-            prune(&mut right, &cfg, &mut s);
+            prune(&mut left, &cfg, &mut s, 0);
+            prune(&mut right, &cfg, &mut s, 0);
             prop_assert!(frontier_is_class_sorted(&left), "post-prune left unsorted");
             prop_assert!(frontier_is_class_sorted(&right), "post-prune right unsorted");
             // Within a class, post-prune q must ascend with cap.
@@ -1898,7 +2159,7 @@ mod tests {
             prop_assert!(frontier_is_class_sorted(&left), "post-climb left unsorted");
             prop_assert!(frontier_is_class_sorted(&right), "post-climb right unsorted");
             let mut stats = DpStats::default();
-            if let Ok(mut merged) = merge_fused(
+            if let Ok((mut merged, _)) = merge_fused(
                 tree.source(), &left, &right, &lib, &cfg, false, &budget, &mut s, &mut stats,
             ) {
                 prop_assert!(
@@ -1906,7 +2167,7 @@ mod tests {
                     "fused merge output unsorted"
                 );
                 let n = merged.len();
-                prune(&mut merged, &cfg, &mut s);
+                prune(&mut merged, &cfg, &mut s, 0);
                 prop_assert_eq!(merged.len(), n, "fused output was not fully pruned");
             }
             let key = |c: &DpCand| (c.cap.to_bits(), c.q.to_bits(), c.count, c.parity);
@@ -1955,8 +2216,8 @@ mod tests {
                 let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
                 let mut s = DpScratch::default();
                 s.reset(2, lib.len());
-                prune(&mut left, &cfg, &mut s);
-                prune(&mut right, &cfg, &mut s);
+                prune(&mut left, &cfg, &mut s, 0);
+                prune(&mut right, &cfg, &mut s, 0);
                 if left.is_empty()
                     || right.is_empty()
                     || climb_in_place(&mut left, &wire, iw, &cfg).is_err()
@@ -1980,9 +2241,9 @@ mod tests {
                         });
                     }
                 }
-                prune(&mut naive, &cfg, &mut s);
+                prune(&mut naive, &cfg, &mut s, 0);
                 let mut stats = DpStats::default();
-                let fused = merge_fused(
+                let (fused, _) = merge_fused(
                     tree.source(), &left, &right, &lib, &cfg, false, &budget, &mut s, &mut stats,
                 )
                 .expect("operands are non-empty");
@@ -2003,19 +2264,22 @@ mod tests {
             }
         }
 
-        /// The incremental frontier answers every query exactly like a flat
-        /// list of all inserted points scanned in O(n).
+        /// The seed engine's incremental frontier and the sweep's staircase
+        /// answer every query exactly like a flat list of all inserted
+        /// points scanned in O(n).
         #[test]
         fn prop_frontier_matches_naive_oracle(
             ops in prop::collection::vec((0u8..12, 0u8..12, prop::bool::ANY), 1..60)
         ) {
             let mut frontier: Vec<(f64, f64)> = Vec::new();
+            let mut stairs = Staircase::default();
             let mut naive: Vec<(f64, f64)> = Vec::new();
             for (cap_g, q_g, is_insert) in ops {
                 let cap = f64::from(cap_g) * 0.25;
                 let q = f64::from(q_g) * 0.5 - 2.0;
                 if is_insert {
                     frontier_insert(&mut frontier, cap, q);
+                    stairs.absorb(&[cand(cap, q, 0)]);
                     naive.push((cap, q));
                 } else {
                     let got = frontier_max_q(&frontier, cap);
@@ -2027,6 +2291,11 @@ mod tests {
                     prop_assert!(
                         got == expect,
                         "query at {cap}: frontier says {got}, oracle says {expect}"
+                    );
+                    let got = stairs.cursor().best_at(cap);
+                    prop_assert!(
+                        got == expect,
+                        "query at {cap}: staircase says {got}, oracle says {expect}"
                     );
                 }
             }
@@ -2081,8 +2350,8 @@ mod tests {
         let mut right = staircase(4);
         let mut s = DpScratch::default();
         s.reset(2, lib.len());
-        prune(&mut left, &cfg, &mut s);
-        prune(&mut right, &cfg, &mut s);
+        prune(&mut left, &cfg, &mut s, 0);
+        prune(&mut right, &cfg, &mut s, 0);
         let wire = Wire::from_rc(120.0, 2e-14, 1.0);
         climb_in_place(&mut left, &wire, 1e-5, &cfg).expect("left survives");
         climb_in_place(&mut right, &wire, 1e-5, &cfg).expect("right survives");
@@ -2111,9 +2380,9 @@ mod tests {
                 });
             }
         }
-        prune(&mut naive, &cfg, &mut s);
+        prune(&mut naive, &cfg, &mut s, 0);
         let mut stats = DpStats::default();
-        let fused = merge_fused(
+        let (fused, _) = merge_fused(
             tree.source(),
             &left,
             &right,
@@ -2140,6 +2409,110 @@ mod tests {
             assert_eq!(a.cap.to_bits(), bb.cap.to_bits());
             assert_eq!(a.q.to_bits(), bb.q.to_bits());
             assert_eq!(a.count, bb.count);
+        }
+    }
+
+    /// A wire climb adds the wire capacitance to every cap with its own
+    /// rounding, so two caps one ulp apart can come out tied (seen on
+    /// 48- and 76-sink scaling nets), with the larger q now on the second
+    /// of the tie — against the sweep order. The tied list is still a
+    /// legal merge operand (debug builds assert that inside
+    /// `merge_fused`), the fused merge on both enumeration paths still
+    /// equals the materialized pipeline, and the sweep catches the wrong
+    /// prefix hint the single-child path gives it.
+    #[test]
+    fn climb_rounding_tie_is_a_legal_frontier() {
+        let lib = catalog::ibm_like();
+        let mut b = TreeBuilder::new(Driver::new(100.0, 1e-12));
+        b.add_sink(
+            b.source(),
+            Wire::from_rc(1.0, 1e-15, 1.0),
+            SinkSpec::new(1e-15, 1e-9, 0.5),
+        )
+        .expect("sink");
+        let tree = b.build().expect("tree");
+        let budget = RunBudget::default().armed();
+        let cfg = DpConfig::default();
+        let staircase = |n: usize, tie_at: usize| -> Vec<DpCand> {
+            let mut cap: f64 = 2e-15;
+            (0..n)
+                .map(|i| {
+                    cap = if i == tie_at {
+                        cap.next_up()
+                    } else {
+                        cap + 3e-16
+                    };
+                    cand(cap, -1e-9 + i as f64 * 1e-11, 0)
+                })
+                .collect()
+        };
+        let wire = Wire::from_rc(40.0, 3.6e-13, 1.0);
+        // 2×1 takes the plain double loop, 16×16 the predictive path.
+        for (nl, nr) in [(2, 1), (16, 16)] {
+            let mut left = staircase(nl, nl / 2);
+            let mut right = staircase(nr, nr);
+            let mut s = DpScratch::default();
+            s.reset(2, lib.len());
+            prune(&mut left, &cfg, &mut s, 0);
+            assert_eq!(
+                left.len(),
+                nl,
+                "fixture rows must be mutually non-dominated"
+            );
+            climb_in_place(&mut left, &wire, 0.0, &cfg).expect("left survives");
+            climb_in_place(&mut right, &wire, 0.0, &cfg).expect("right survives");
+            let (a, b) = (&left[nl / 2 - 1], &left[nl / 2]);
+            assert_eq!(
+                a.cap.to_bits(),
+                b.cap.to_bits(),
+                "climb did not tie the caps"
+            );
+            assert!(a.q < b.q, "the tie must read q ascending");
+            assert!(frontier_is_class_sorted(&left));
+
+            // The single-child path hands the climbed list over as sorted.
+            let mut got = left.clone();
+            prune(&mut got, &cfg, &mut s, nl);
+            let mut expect = left.clone();
+            sweep_prune_oracle(&mut expect);
+            let got: Vec<_> = got.iter().map(cand_bits).collect();
+            let expect: Vec<_> = expect.iter().map(cand_bits).collect();
+            assert_eq!(got, expect);
+
+            for feasible in [false, true] {
+                let mut s1 = DpScratch::default();
+                s1.reset(2, lib.len());
+                let mut stats = DpStats::default();
+                let (mut fused, head) = merge_fused(
+                    tree.source(),
+                    &left,
+                    &right,
+                    &lib,
+                    &cfg,
+                    feasible,
+                    &budget,
+                    &mut s1,
+                    &mut stats,
+                )
+                .expect("operands are non-empty");
+                prune(&mut fused, &cfg, &mut s1, head);
+                let mut s2 = DpScratch::default();
+                s2.reset(2, lib.len());
+                let mut m = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats)
+                    .expect("operands are non-empty");
+                if feasible {
+                    insert_buffers_plain(tree.source(), &mut m, &lib, &cfg, &mut s2);
+                }
+                prune(&mut m, &cfg, &mut s2, 0);
+                let key = |c: &DpCand| {
+                    let mut k = cand_bits(c);
+                    k.7 = 0; // arenas differ between the two pipelines
+                    k
+                };
+                let fused: Vec<_> = fused.iter().map(key).collect();
+                let m: Vec<_> = m.iter().map(key).collect();
+                assert_eq!(fused, m, "{nl}x{nr} merge, feasible {feasible}");
+            }
         }
     }
 

@@ -258,7 +258,7 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &dp::DpConfig) {
         while i < n && cands[i].count == count && cands[i].parity == parity {
             let c = &cands[i];
             let dominated_in_class = c.q <= best_q;
-            let dominated_cross = dp::frontier_max_q(&frontier, c.cap) >= c.q;
+            let dominated_cross = frontier_max_q(&frontier, c.cap) >= c.q;
             if !dominated_in_class && !dominated_cross {
                 best_q = c.q;
                 class_survivors.push(c.clone());
@@ -266,11 +266,56 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &dp::DpConfig) {
             i += 1;
         }
         for c in &class_survivors {
-            dp::frontier_insert(&mut frontier, c.cap, c.q);
+            frontier_insert(&mut frontier, c.cap, c.q);
         }
         out.extend(class_survivors);
     }
     *cands = out;
+}
+
+/// Max `q` among frontier entries with `cap ≤ limit` (−∞ if none).
+pub(crate) fn frontier_max_q(frontier: &[(f64, f64)], limit: f64) -> f64 {
+    // frontier is sorted by cap ascending with strictly increasing prefix
+    // max q (we store the running max directly).
+    match frontier.binary_search_by(|&(cap, _)| cap.partial_cmp(&limit).expect("finite caps")) {
+        Ok(mut idx) => {
+            // Multiple equal caps collapse on insert; step to the entry.
+            while idx + 1 < frontier.len() && frontier[idx + 1].0 <= limit {
+                idx += 1;
+            }
+            frontier[idx].1
+        }
+        Err(0) => f64::NEG_INFINITY,
+        Err(idx) => frontier[idx - 1].1,
+    }
+}
+
+/// Inserts `(cap, q)` keeping caps ascending and q the running prefix max.
+pub(crate) fn frontier_insert(frontier: &mut Vec<(f64, f64)>, cap: f64, q: f64) {
+    let pos = frontier
+        .binary_search_by(|&(c, _)| c.partial_cmp(&cap).expect("finite caps"))
+        .unwrap_or_else(|e| e);
+    // q must beat the prefix max to matter.
+    let prefix = if pos == 0 {
+        f64::NEG_INFINITY
+    } else {
+        frontier[pos - 1].1
+    };
+    if q <= prefix {
+        return;
+    }
+    frontier.insert(pos, (cap, q.max(prefix)));
+    // Fix running max downstream and drop obsolete entries.
+    let mut run = q.max(prefix);
+    let mut j = pos + 1;
+    while j < frontier.len() {
+        if frontier[j].1 <= run {
+            frontier.remove(j);
+        } else {
+            run = frontier[j].1;
+            j += 1;
+        }
+    }
 }
 
 fn add_wire(c: &DpCand, wire: &Wire, wire_current: f64) -> DpCand {
