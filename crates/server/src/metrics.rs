@@ -407,8 +407,8 @@ pub struct MetricsSnapshot {
     pub uptime_ms: u64,
     /// The serving crate's version string.
     pub version: &'static str,
-    /// Per-shard breakdown (empty for a single-engine threaded server;
-    /// the sharded front end fills this before serializing).
+    /// Per-shard breakdown: empty in an engine's own snapshot; the
+    /// reactor's `stats` command fills it before serializing.
     pub shards: Vec<ShardStat>,
 }
 

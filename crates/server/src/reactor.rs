@@ -1,6 +1,7 @@
-//! The sharded readiness-driven front end: an epoll reactor per shard,
-//! one engine per shard, and a bounded responder pool bridging the
-//! nonblocking event loops to the blocking engine calls.
+//! The sharded readiness-driven front end: an epoll reactor per shard
+//! and one engine per shard. Shards answer what they can on the spot and
+//! hand admitted misses straight to their engine's workers, whose
+//! completions post the responses back.
 //!
 //! # Architecture
 //!
@@ -8,13 +9,14 @@
 //!             ┌ acceptor (calling thread): nonblocking listener ┐
 //!             │   round-robin handoff, max-conns ceiling        │
 //!             └──────┬──────────────┬──────────────┬────────────┘
-//!                 shard 0        shard 1   ...  shard N-1   (epoll loops)
-//!                    │              │              │
-//!                    └──────── work channel ───────┘
+//!                 shard 0        shard 1   ...  shard N-1   (epoll loops:
+//!                    │              │              │   decode, route,
+//!                    │              │              │   cache probe)
+//!                    └───── misses → engine queues ┘
 //!                               │
-//!                     responder pool (blocking Engine calls)
+//!                      engine workers (optimize, triage)
 //!                               │
-//!                    replies → shard inboxes (eventfd wakeups)
+//!                completions → shard inboxes (eventfd wakeups)
 //! ```
 //!
 //! * The **acceptor** owns the listening socket. Accepted connections
@@ -24,29 +26,38 @@
 //! * Each **shard** is one event loop owning its connections' state
 //!   machines: nonblocking buffered reads with the line cap enforced
 //!   incrementally, frame decoding, write backpressure through
-//!   [`SendBuf`], and read deadlines in a timer heap. A connection with
-//!   a request in flight stops reading (its kernel receive buffer is
-//!   the backpressure), so per-connection memory is bounded. The clock
-//!   for [`ServeOptions::read_timeout`] arms when the connection starts
-//!   waiting for a request and is *not* reset by partial bytes — a
-//!   slow-loris client trickling one byte per tick is closed on
-//!   schedule.
-//! * Complete request lines are dispatched to the **responder pool**,
-//!   which runs the blocking [`Engine`] path (`try_optimize_with`) —
-//!   the exact code path the thread-per-connection baseline used, so
-//!   admission shedding, deadlines, retry, and fault semantics are
-//!   identical. The pool is sized past the engines' total admission
-//!   capacity (jobs + queue depth, plus slack), so control commands are
-//!   never starved behind saturated optimize calls and shedding still
-//!   manifests as `overloaded` responses.
+//!   [`SendBuf`], and read and request deadlines in one timer heap. A
+//!   connection with a request in flight stops reading (its kernel
+//!   receive buffer is the backpressure), so per-connection memory is
+//!   bounded. The clock for [`ServeOptions::read_timeout`] arms when the
+//!   connection starts waiting for a request and is *not* reset by
+//!   partial bytes — a slow-loris client trickling one byte per tick is
+//!   closed on schedule.
+//! * **Requests are served inline on the shard.** The shard classifies a
+//!   complete line and answers protocol errors, `stats` and `shutdown`
+//!   itself. An optimize request is routed, decoded (decoding stays
+//!   ahead of the cache probe, so hits keep the decode fault seam and
+//!   verify-on-hit keeps its parsed input) and submitted to the engine:
+//!   a cache hit or an admission refusal is answered on the spot; an
+//!   admitted miss waits in the engine's bounded queue, and the worker's
+//!   completion formats the record and posts it to this shard's inbox.
+//!   A panic anywhere on this inline path costs one `{"error":...}`
+//!   line; the connection and the server survive.
+//! * **Deadlines live in the shard's timer heap.** When an optimize
+//!   request's deadline passes before its completion, the shard calls
+//!   [`Engine::expire`] (trip the token, count the one
+//!   `deadline_exceeded`, add a surplus worker) and answers at once; the
+//!   connection takes its next request. Every dispatched request carries
+//!   a per-connection sequence number next to the slot token, so a late
+//!   completion for the expired request is dropped instead of answering
+//!   the next one.
 //! * **Cancellation by readiness**: every registration asks for
 //!   `EPOLLRDHUP`. When a client hangs up while its request is in
 //!   flight and no pipelined bytes remain buffered, the request's
-//!   [`CancelToken`] trips with the `disconnect` reason — replacing the
-//!   baseline's 25 ms polling monitor thread with a kernel
-//!   notification. Pipelined requests a client sent before hanging up
-//!   are still served (their responses go to the peer's half-open read
-//!   side, exactly like the baseline).
+//!   [`CancelToken`] trips with the `disconnect` reason — a kernel
+//!   notification, not a polling thread. Pipelined requests a client
+//!   sent before hanging up are still served (their responses go to the
+//!   peer's half-open read side).
 //! * **Routing**: optimize requests route to an engine by a rendezvous
 //!   (highest-random-weight) hash of the net digest, so repeated nets
 //!   land on the same engine and its solution cache / memo table shard
@@ -61,10 +72,10 @@
 //! a drain to every shard: idle connections close, buffered complete
 //! lines are served (the engines reject them with `shutting_down`),
 //! in-flight requests finish and their responses are flushed before the
-//! shard exits. Shards join first, then the work channel closes and the
-//! responders join — a connection is never dropped with a response in
-//! flight, and no reply can arrive at a dead shard (a connection stays
-//! in its slab until its in-flight reply returns).
+//! shard exits. A connection stays in its slab until its in-flight
+//! request is answered, so a shard outlives every completion it waits
+//! for; a late completion for an expired request may still post to an
+//! exited shard's inbox, which is harmless.
 //!
 //! [`MetricsSnapshot::absorb`]: crate::metrics::MetricsSnapshot::absorb
 
@@ -75,7 +86,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use buffopt::{CancelReason, CancelToken};
@@ -86,10 +97,11 @@ use buffopt_netpoll::{
 use buffopt_pipeline::fault::{FaultAction, Seam};
 
 use crate::cache::digest;
-use crate::engine::Engine;
+use crate::engine::{Completion, Engine, Submitted, Ticket};
 use crate::metrics::ShardStat;
 use crate::service::{
-    bad_frame_json, classify_request, error_json, serve_optimize, Command, NetDecoder, ServeOptions,
+    bad_frame_json, classify_request, decode_job, error_json, served_json, Command, NetDecoder,
+    ServeOptions,
 };
 
 /// Token of each shard's inbox waker (never collides with connection
@@ -113,32 +125,21 @@ const RECV_SLACK: usize = 64 * 1024;
 /// [`ServeOptions::max_conns`] ceiling.
 const MAX_CONNS_REFUSAL: &[u8] = b"{\"error\":\"overloaded\",\"detail\":\"max_conns\"}\n";
 
-/// One unit of blocking work dispatched from a shard to the responder
-/// pool: a complete request line plus the routing info for its reply.
-struct Work {
-    shard: usize,
-    token: u64,
-    line: String,
-    framed: bool,
-    cancel: CancelToken,
-}
-
 /// Messages into a shard's event loop (paired with an eventfd wakeup).
 enum Inbox {
     /// A freshly accepted connection to adopt.
     Conn(TcpStream),
-    /// A responder finished a request; write the response.
+    /// An engine worker finished request `seq` of connection `token`.
     Reply {
         token: u64,
+        seq: u64,
         response: String,
-        framed: bool,
-        shutdown: bool,
     },
     /// Stop reading, serve what is buffered, flush, close, exit.
     Drain,
 }
 
-/// A shard's mailbox as seen by the acceptor and the responders.
+/// A shard's mailbox as seen by the acceptor and the engine workers.
 struct ShardPost {
     inbox: Mutex<VecDeque<Inbox>>,
     waker: Arc<Waker>,
@@ -154,7 +155,7 @@ impl ShardPost {
     }
 }
 
-/// State shared by the acceptor, every shard, and every responder.
+/// State shared by the acceptor and every shard.
 struct Shared {
     engines: Vec<Arc<Engine>>,
     decode: NetDecoder,
@@ -163,11 +164,13 @@ struct Shared {
     conn_count: AtomicUsize,
     /// Live connections per shard (the `stats` breakdown).
     shard_conns: Vec<AtomicUsize>,
-    /// Set by a responder that served a `shutdown` command.
+    /// Set by the shard that served a `shutdown` command.
     shutdown_requested: AtomicBool,
     /// Wakes the acceptor loop when `shutdown_requested` flips.
     accept_waker: Arc<Waker>,
-    shard_posts: Vec<ShardPost>,
+    /// Completions hold their own handle, so a late one can post after
+    /// its shard exited.
+    shard_posts: Vec<Arc<ShardPost>>,
 }
 
 /// One connection's state machine, owned by exactly one shard.
@@ -176,8 +179,12 @@ struct Conn {
     token: u64,
     recv: RecvBuf,
     send: SendBuf,
-    /// A request from this connection is at the responders.
-    busy: bool,
+    /// The optimize request at an engine worker, if any. While set, the
+    /// connection stops reading.
+    inflight: Option<InFlight>,
+    /// Sequence number of the last optimize request dispatched from this
+    /// connection.
+    seq: u64,
     /// No more request bytes will ever arrive (peer write-half closed,
     /// EOF read, or socket error).
     eof: bool,
@@ -190,14 +197,36 @@ struct Conn {
     registered: bool,
     /// Last interest submitted to the poller, to elide no-op modifies.
     interest: Option<Interest>,
-    /// The in-flight request's cancellation token, armed for
-    /// disconnect-by-readiness. Taken when tripped so each request is
-    /// cancelled at most once.
-    cancel: Option<CancelToken>,
-    /// The read deadline while idle-awaiting a request; `None` while a
-    /// request is in flight. Deliberately NOT refreshed by partial
-    /// bytes.
+    /// While idle, the read deadline — deliberately NOT refreshed by
+    /// partial bytes. While a request is in flight, its deadline (if
+    /// its engine arms one).
     deadline: Option<Instant>,
+}
+
+/// An optimize request waiting on its engine's completion.
+struct InFlight {
+    /// Matches the completion to this request: a late completion for an
+    /// expired request carries an older number and is dropped.
+    seq: u64,
+    framed: bool,
+    /// Index of the engine the request was routed to.
+    engine: usize,
+    /// Its token trips on client disconnect; expired on deadline.
+    ticket: Ticket,
+}
+
+/// What the shard does with one request line.
+enum Action {
+    /// Answer now.
+    Reply(String),
+    /// Answer now, then close the connection (the `shutdown` ack).
+    Close(String),
+    /// Submitted to engine `engine`; its completion posts the answer.
+    Pending {
+        engine: usize,
+        ticket: Ticket,
+        deadline: Option<Instant>,
+    },
 }
 
 /// One reactor shard: an epoll loop over its connections plus the inbox.
@@ -205,7 +234,7 @@ struct Shard {
     id: usize,
     poller: Poller,
     /// Kept alive by `Shared::shard_posts` past this shard's exit, so a
-    /// racing responder `wake()` can never hit a recycled fd.
+    /// late completion's `wake()` can never hit a recycled fd.
     waker: Arc<Waker>,
     shared: Arc<Shared>,
     /// Slot-indexed connections; `gens` gives each slot reuse a fresh
@@ -214,18 +243,16 @@ struct Shard {
     gens: Vec<u32>,
     free: Vec<usize>,
     live: usize,
-    /// Read deadlines, lazily deleted (entries are validated against the
-    /// connection's current deadline when they fire).
+    /// Read and request deadlines, lazily deleted (entries are validated
+    /// against the connection's current deadline when they fire).
     timeouts: BinaryHeap<Reverse<(Instant, u64)>>,
     draining: bool,
 }
 
 /// Serves the protocol across `engines.len()` reactor shards until a
-/// `shutdown` command arrives, then drains every shard and responder
-/// (each in-flight response is written before this returns). The
-/// calling thread runs the acceptor. See the module docs for the
-/// architecture; [`serve_with`](crate::serve_with) is the single-engine
-/// wrapper.
+/// `shutdown` command arrives, then drains every shard (each in-flight
+/// response is written before this returns). The calling thread runs
+/// the acceptor. See the module docs for the architecture.
 pub fn serve_sharded(
     listener: TcpListener,
     engines: Vec<Arc<Engine>>,
@@ -250,10 +277,10 @@ pub fn serve_sharded(
     for _ in 0..nshards {
         let poller = Poller::new()?;
         let waker = Arc::new(Waker::new(&poller, WAKER_TOKEN)?);
-        shard_posts.push(ShardPost {
+        shard_posts.push(Arc::new(ShardPost {
             inbox: Mutex::new(VecDeque::new()),
             waker: Arc::clone(&waker),
-        });
+        }));
         shard_setup.push((poller, waker));
     }
     let shared = Arc::new(Shared {
@@ -266,32 +293,6 @@ pub fn serve_sharded(
         accept_waker: Arc::clone(&accept_waker),
         shard_posts,
     });
-
-    // Responder pool: sized past the engines' total admission capacity
-    // (jobs in flight + queued) plus slack, so (a) enough callers block
-    // inside the engines to keep them saturated and shedding behaves
-    // exactly as under the threaded front end, and (b) control commands
-    // (stats/shutdown) always find a free responder.
-    let responder_count: usize = shared
-        .engines
-        .iter()
-        .map(|e| e.jobs() + e.queue_depth())
-        .sum::<usize>()
-        + 2 * nshards
-        + 2;
-    let (work_tx, work_rx) = mpsc::channel::<Work>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let mut responder_handles = Vec::with_capacity(responder_count);
-    for i in 0..responder_count {
-        let rx = Arc::clone(&work_rx);
-        let shared = Arc::clone(&shared);
-        responder_handles.push(
-            std::thread::Builder::new()
-                .name(format!("buffopt-respond-{i}"))
-                .spawn(move || responder_loop(&rx, &shared))
-                .expect("spawn responder thread"),
-        );
-    }
 
     let mut shard_handles = Vec::with_capacity(nshards);
     for (id, (poller, waker)) in shard_setup.into_iter().enumerate() {
@@ -307,11 +308,10 @@ pub fn serve_sharded(
             timeouts: BinaryHeap::new(),
             draining: false,
         };
-        let tx = work_tx.clone();
         shard_handles.push(
             std::thread::Builder::new()
                 .name(format!("buffopt-shard-{id}"))
-                .spawn(move || shard_loop(shard, tx))
+                .spawn(move || shard_loop(shard))
                 .expect("spawn shard thread"),
         );
     }
@@ -369,7 +369,7 @@ pub fn serve_sharded(
     }
 
     // Drain (see the module docs for the contract). `begin_shutdown` is
-    // idempotent; the responder that served the shutdown command already
+    // idempotent; the shard that served the shutdown command already
     // called it before acknowledging.
     for engine in &shared.engines {
         engine.begin_shutdown();
@@ -378,12 +378,6 @@ pub fn serve_sharded(
         post.post(Inbox::Drain);
     }
     for handle in shard_handles {
-        let _ = handle.join();
-    }
-    // All shard-held work senders are gone once the shards joined; drop
-    // ours and the responders see the channel close.
-    drop(work_tx);
-    for handle in responder_handles {
         let _ = handle.join();
     }
     match fatal {
@@ -405,13 +399,10 @@ fn refuse(mut stream: TcpStream) {
 /// under engine-count changes for most keys, and — the property serving
 /// actually needs — deterministic, so repeated nets always land on the
 /// engine whose cache and memo already hold them.
-fn route<'a>(engines: &'a [Arc<Engine>], id: &str, net: &str) -> &'a Arc<Engine> {
+fn route(engines: &[Arc<Engine>], id: &str, net: &str) -> usize {
     let key = digest(&[id.as_bytes(), net.as_bytes()]);
-    engines
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, _)| digest(&[&key.to_le_bytes(), &(*i as u64).to_le_bytes()]))
-        .map(|(_, e)| e)
+    (0..engines.len())
+        .max_by_key(|i| digest(&[&key.to_le_bytes(), &(*i as u64).to_le_bytes()]))
         .expect("serve_sharded requires at least one engine")
 }
 
@@ -442,51 +433,41 @@ fn aggregate_stats(shared: &Shared) -> String {
     snap.to_json()
 }
 
-/// One responder: blocks on the shared work channel, runs the request
-/// against the engines, posts the reply back to the owning shard. A
-/// panic while serving — injected at the decode seam or real — costs
-/// one error response, not the connection or the server.
-fn responder_loop(rx: &Mutex<mpsc::Receiver<Work>>, shared: &Shared) {
-    loop {
-        let work = match rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-            Ok(w) => w,
-            Err(_) => return, // every shard exited: shut down
-        };
-        let served = panic::catch_unwind(AssertUnwindSafe(|| {
-            handle_request(&work.line, &work.cancel, shared)
-        }));
-        let (response, shutdown) = served.unwrap_or_else(|_| {
-            shared.engines[0].metrics().record_conn_error();
-            (
-                error_json("internal error while serving the request"),
-                false,
-            )
-        });
-        if shutdown {
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            shared.accept_waker.wake();
-        }
-        shared.shard_posts[work.shard].post(Inbox::Reply {
-            token: work.token,
-            response,
-            framed: work.framed,
-            shutdown,
-        });
-    }
-}
-
-/// Executes one request line; returns `(response, shutdown_requested)`.
-fn handle_request(line: &str, cancel: &CancelToken, shared: &Shared) -> (String, bool) {
+/// Executes one request line on the shard. Protocol errors, `stats` and
+/// `shutdown` are answered on the spot. An optimize request is routed,
+/// decoded and submitted: a cache hit or an admission refusal is
+/// answered on the spot, an admitted miss is left to its completion,
+/// which posts response `seq` of connection `token` to this shard.
+fn respond(shared: &Shared, shard: usize, token: u64, seq: u64, line: &str) -> Action {
     match classify_request(line) {
-        Err(response) => (response, false),
+        Err(response) => Action::Reply(response),
         Ok(Command::Optimize { id, net }) => {
-            let engine = route(&shared.engines, &id, &net);
-            let response = serve_optimize(engine, &shared.decode, &id, &net, cancel, |job| {
-                engine.try_optimize_with(job, cancel.clone())
+            let e = route(&shared.engines, &id, &net);
+            let engine = &shared.engines[e];
+            let cancel = CancelToken::new();
+            let job = match decode_job(engine, &shared.decode, &id, &net, &cancel) {
+                Ok(job) => job,
+                Err(response) => return Action::Reply(response),
+            };
+            let post = Arc::clone(&shared.shard_posts[shard]);
+            let done: Completion = Box::new(move |served| {
+                post.post(Inbox::Reply {
+                    token,
+                    seq,
+                    response: served_json(&served),
+                })
             });
-            (response, false)
+            match engine.submit(job, true, cancel, done) {
+                Ok(Submitted::Hit(served)) => Action::Reply(served_json(&served)),
+                Ok(Submitted::Queued { deadline, ticket }) => Action::Pending {
+                    engine: e,
+                    ticket,
+                    deadline,
+                },
+                Err(rejection) => Action::Reply(error_json(rejection.as_str())),
+            }
         }
-        Ok(Command::Stats) => (aggregate_stats(shared), false),
+        Ok(Command::Stats) => Action::Reply(aggregate_stats(shared)),
         Ok(Command::Shutdown) => {
             // Close admission on every engine before acknowledging, so
             // requests racing the shutdown are refused explicitly from
@@ -494,23 +475,10 @@ fn handle_request(line: &str, cancel: &CancelToken, shared: &Shared) -> (String,
             for engine in &shared.engines {
                 engine.begin_shutdown();
             }
-            ("{\"ok\":\"shutdown\"}".to_string(), true)
+            shared.shutdown_requested.store(true, Ordering::SeqCst);
+            shared.accept_waker.wake();
+            Action::Close("{\"ok\":\"shutdown\"}".to_string())
         }
-    }
-}
-
-/// Trips the in-flight request's disconnect cancellation, at most once
-/// per request. EOF during the shutdown drain never cancels: the drain
-/// contract is that admitted work completes and its response is written
-/// (the threaded baseline gates identically).
-fn maybe_cancel_disconnect(conn: &mut Conn, shared: &Shared) {
-    let Some(cancel) = conn.cancel.take() else {
-        return;
-    };
-    if !shared.engines[0].is_shutting_down() && cancel.cancel(CancelReason::Disconnect) {
-        shared.engines[0]
-            .metrics()
-            .record_cancelled(CancelReason::Disconnect);
     }
 }
 
@@ -534,9 +502,9 @@ fn fill(conn: &mut Conn, opts: &ServeOptions) -> std::io::Result<FillOutcome> {
 }
 
 /// The shard's event loop: wait for readiness, handle inbox and
-/// connection events, expire read deadlines, exit once draining with no
+/// connection events, expire deadlines, exit once draining with no
 /// connections left.
-fn shard_loop(mut shard: Shard, work_tx: mpsc::Sender<Work>) {
+fn shard_loop(mut shard: Shard) {
     let mut events: Vec<Event> = Vec::new();
     loop {
         let timeout = shard
@@ -555,12 +523,12 @@ fn shard_loop(mut shard: Shard, work_tx: mpsc::Sender<Work>) {
         for &ev in &events {
             if ev.token == WAKER_TOKEN {
                 shard.waker.drain();
-                shard.drain_inbox(&work_tx);
+                shard.drain_inbox();
             } else {
-                shard.on_conn_event(ev, &work_tx);
+                shard.on_conn_event(ev);
             }
         }
-        shard.expire_deadlines(&work_tx);
+        shard.expire_deadlines();
         if shard.draining && shard.live == 0 {
             return;
         }
@@ -580,7 +548,7 @@ impl Shard {
     }
 
     /// Processes every queued inbox message.
-    fn drain_inbox(&mut self, work_tx: &mpsc::Sender<Work>) {
+    fn drain_inbox(&mut self) {
         loop {
             let msg = self.shared.shard_posts[self.id]
                 .inbox
@@ -589,18 +557,17 @@ impl Shard {
                 .pop_front();
             match msg {
                 None => return,
-                Some(Inbox::Conn(stream)) => self.adopt(stream, work_tx),
+                Some(Inbox::Conn(stream)) => self.adopt(stream),
                 Some(Inbox::Reply {
                     token,
+                    seq,
                     response,
-                    framed,
-                    shutdown,
-                }) => self.on_reply(token, &response, framed, shutdown, work_tx),
+                }) => self.on_reply(token, seq, &response),
                 Some(Inbox::Drain) => {
                     self.draining = true;
                     for idx in 0..self.conns.len() {
                         if self.conns[idx].is_some() {
-                            self.progress(idx, work_tx);
+                            self.progress(idx);
                         }
                     }
                 }
@@ -610,7 +577,7 @@ impl Shard {
 
     /// Takes ownership of a freshly accepted connection: slab slot,
     /// poller registration, read-deadline arming (via `progress`).
-    fn adopt(&mut self, stream: TcpStream, work_tx: &mpsc::Sender<Work>) {
+    fn adopt(&mut self, stream: TcpStream) {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.gens.push(1);
@@ -623,13 +590,13 @@ impl Shard {
             token,
             recv: RecvBuf::new(),
             send: SendBuf::new(),
-            busy: false,
+            inflight: None,
+            seq: 0,
             eof: false,
             doomed: false,
             closing: false,
             registered: false,
             interest: None,
-            cancel: None,
             deadline: None,
         };
         if self.poller.register(fd, token, Interest::READ).is_ok() {
@@ -642,15 +609,15 @@ impl Shard {
         self.conns[idx] = Some(conn);
         self.live += 1;
         self.shared.shard_conns[self.id].fetch_add(1, Ordering::SeqCst);
-        self.progress(idx, work_tx);
+        self.progress(idx);
     }
 
     /// Closes a connection and retires its slot. Never called with a
-    /// request in flight — a busy connection waits for its reply so the
-    /// shard (and its waker) outlive every dispatched `Work`.
+    /// request in flight — a busy connection waits for its completion
+    /// (or its deadline).
     fn close(&mut self, idx: usize) {
         let conn = self.conns[idx].take().expect("closing a live connection");
-        debug_assert!(!conn.busy, "close() with a request in flight");
+        debug_assert!(conn.inflight.is_none(), "close() with a request in flight");
         if conn.registered {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
         }
@@ -662,34 +629,29 @@ impl Shard {
         self.shared.shard_conns[self.id].fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// A responder finished this connection's in-flight request.
-    fn on_reply(
-        &mut self,
-        token: u64,
-        response: &str,
-        framed: bool,
-        shutdown: bool,
-        work_tx: &mpsc::Sender<Work>,
-    ) {
+    /// An engine worker finished request `seq` of this connection. A
+    /// completion for anything but the request in flight — one already
+    /// answered `deadline_exceeded` — is dropped.
+    fn on_reply(&mut self, token: u64, seq: u64, response: &str) {
         let Some(idx) = self.lookup(token) else {
             return;
         };
         let conn = self.conns[idx].as_mut().expect("lookup returned live slot");
-        conn.busy = false;
-        conn.cancel = None;
+        if conn.inflight.as_ref().map(|f| f.seq) != Some(seq) {
+            return;
+        }
+        let inflight = conn.inflight.take().expect("checked above");
+        conn.deadline = None;
         if conn.doomed {
             self.close(idx);
             return;
         }
-        queue_response(conn, response, framed);
-        if shutdown {
-            conn.closing = true;
-        }
-        self.progress(idx, work_tx);
+        queue_response(conn, response, inflight.framed);
+        self.progress(idx);
     }
 
     /// Readiness arrived for a connection's socket.
-    fn on_conn_event(&mut self, ev: Event, work_tx: &mpsc::Sender<Work>) {
+    fn on_conn_event(&mut self, ev: Event) {
         let Some(idx) = self.lookup(ev.token) else {
             return;
         };
@@ -715,13 +677,12 @@ impl Shard {
                     // it), keep the write path for its responses.
                     conn.eof = true;
                     let _ = fill(conn, &shared.opts);
-                } else if ev.readable && !conn.busy && !conn.eof {
+                } else if ev.readable && conn.inflight.is_none() && !conn.eof {
                     match fill(conn, &shared.opts) {
                         Ok(FillOutcome::Eof) => conn.eof = true,
                         Ok(_) => {}
                         Err(_) => {
-                            // Unreadable stream: the baseline closes
-                            // silently; mirror it.
+                            // Unreadable stream: close silently.
                             conn.eof = true;
                             conn.doomed = true;
                         }
@@ -731,14 +692,16 @@ impl Shard {
                 // starts by flushing.
             }
         }
-        self.progress(idx, work_tx);
+        self.progress(idx);
     }
 
-    /// Fires expired read deadlines: idle connections past their clock
-    /// get the typed timeout error and close. Heap entries are lazily
-    /// deleted — anything stale (slot reused, request dispatched,
-    /// deadline re-armed later) is skipped.
-    fn expire_deadlines(&mut self, work_tx: &mpsc::Sender<Work>) {
+    /// Fires expired deadlines. An idle connection past its read clock
+    /// gets the typed timeout error and closes; a request past its
+    /// deadline is expired at its engine and answered
+    /// `deadline_exceeded`, and the connection takes its next request.
+    /// Heap entries are lazily deleted — anything stale (slot reused,
+    /// request answered, deadline re-armed later) is skipped.
+    fn expire_deadlines(&mut self) {
         loop {
             let now = Instant::now();
             let (when, token) = match self.timeouts.peek() {
@@ -751,28 +714,35 @@ impl Shard {
             };
             {
                 let conn = self.conns[idx].as_mut().expect("lookup returned live slot");
-                if conn.busy || conn.closing || conn.doomed || conn.deadline != Some(when) {
+                if conn.deadline != Some(when) {
                     continue;
                 }
                 conn.deadline = None;
-                self.shared.engines[0].metrics().record_conn_error();
-                queue_response(
-                    conn,
-                    &error_json("read timed out; closing connection"),
-                    false,
-                );
-                conn.closing = true;
+                if let Some(inflight) = conn.inflight.take() {
+                    let rejection = self.shared.engines[inflight.engine].expire(&inflight.ticket);
+                    queue_response(conn, &error_json(rejection.as_str()), inflight.framed);
+                } else {
+                    if conn.closing || conn.doomed {
+                        continue;
+                    }
+                    self.shared.engines[0].metrics().record_conn_error();
+                    queue_response(
+                        conn,
+                        &error_json("read timed out; closing connection"),
+                        false,
+                    );
+                    conn.closing = true;
+                }
             }
-            self.progress(idx, work_tx);
+            self.progress(idx);
         }
     }
 
     /// The per-connection state machine: flush output, then (unless a
-    /// request is in flight) consume buffered lines — dispatching
-    /// requests, answering protocol errors inline, honoring
-    /// drain/EOF/doom transitions — until the connection blocks, closes,
-    /// or goes busy.
-    fn progress(&mut self, idx: usize, work_tx: &mpsc::Sender<Work>) {
+    /// request is in flight) consume buffered lines — answering what the
+    /// shard can answer, submitting misses, honoring drain/EOF/doom
+    /// transitions — until the connection blocks, closes, or goes busy.
+    fn progress(&mut self, idx: usize) {
         loop {
             let shared = Arc::clone(&self.shared);
             let Some(conn) = self.conns[idx].as_mut() else {
@@ -782,9 +752,9 @@ impl Shard {
                 conn.doomed = true;
             }
             if conn.doomed {
-                if conn.busy {
-                    // Keep the slot until the in-flight reply returns;
-                    // nothing more to poll for.
+                if conn.inflight.is_some() {
+                    // Keep the slot until the in-flight request is
+                    // answered; nothing more to poll for.
                     self.update_interest(idx);
                 } else {
                     self.close(idx);
@@ -792,18 +762,27 @@ impl Shard {
                 return;
             }
             if conn.closing {
-                if conn.send.is_empty() && !conn.busy {
+                if conn.send.is_empty() && conn.inflight.is_none() {
                     self.close(idx);
                 } else {
                     self.update_interest(idx);
                 }
                 return;
             }
-            if conn.busy {
+            if let Some(inflight) = &conn.inflight {
                 // Disconnect-by-readiness: the peer is gone and nothing
                 // pipelined remains, so the in-flight run is for nobody.
-                if conn.eof && conn.recv.is_empty() {
-                    maybe_cancel_disconnect(conn, &shared);
+                // EOF during the shutdown drain never cancels: the drain
+                // contract is that admitted work completes and its
+                // response is written. The token counts each
+                // cancellation once, however often this runs.
+                let engine = &shared.engines[inflight.engine];
+                if conn.eof
+                    && conn.recv.is_empty()
+                    && !engine.is_shutting_down()
+                    && inflight.ticket.cancel.cancel(CancelReason::Disconnect)
+                {
+                    engine.metrics().record_cancelled(CancelReason::Disconnect);
                 }
                 self.update_interest(idx);
                 return;
@@ -821,9 +800,8 @@ impl Shard {
                 }
                 TakeLine::Partial => {
                     if conn.eof || self.draining {
-                        // No more bytes will complete this line; a
-                        // trailing fragment is discarded exactly like
-                        // the baseline's EOF mid-line.
+                        // No more bytes will complete this line; the
+                        // trailing fragment is discarded.
                         conn.closing = true;
                         continue;
                     }
@@ -883,26 +861,40 @@ impl Shard {
                     if line.is_empty() {
                         continue;
                     }
-                    let cancel = CancelToken::new();
-                    conn.busy = true;
-                    conn.cancel = Some(cancel.clone());
-                    let token = conn.token;
-                    if work_tx
-                        .send(Work {
-                            shard: self.id,
-                            token,
-                            line,
-                            framed,
-                            cancel,
-                        })
-                        .is_err()
-                    {
-                        // The responder pool is gone (only possible
-                        // after a drain); close out politely.
-                        let conn = self.conns[idx].as_mut().expect("slot still live");
-                        conn.busy = false;
-                        conn.cancel = None;
-                        conn.closing = true;
+                    // A panic while serving — injected at the decode
+                    // seam or real — costs one error response, not the
+                    // connection or the server.
+                    let (shard, token, seq) = (self.id, conn.token, conn.seq + 1);
+                    let action = panic::catch_unwind(AssertUnwindSafe(|| {
+                        respond(&shared, shard, token, seq, &line)
+                    }))
+                    .unwrap_or_else(|_| {
+                        shared.engines[0].metrics().record_conn_error();
+                        Action::Reply(error_json("internal error while serving the request"))
+                    });
+                    match action {
+                        Action::Reply(response) => queue_response(conn, &response, framed),
+                        Action::Close(response) => {
+                            queue_response(conn, &response, framed);
+                            conn.closing = true;
+                        }
+                        Action::Pending {
+                            engine,
+                            ticket,
+                            deadline,
+                        } => {
+                            conn.seq = seq;
+                            conn.inflight = Some(InFlight {
+                                seq,
+                                framed,
+                                engine,
+                                ticket,
+                            });
+                            if let Some(when) = deadline {
+                                conn.deadline = Some(when);
+                                self.timeouts.push(Reverse((when, token)));
+                            }
+                        }
                     }
                     continue;
                 }
@@ -923,7 +915,11 @@ impl Shard {
             return;
         }
         let want = Interest {
-            readable: !conn.busy && !conn.eof && !conn.closing && !conn.doomed && !draining,
+            readable: conn.inflight.is_none()
+                && !conn.eof
+                && !conn.closing
+                && !conn.doomed
+                && !draining,
             writable: !conn.send.is_empty(),
             rdhup: !conn.eof,
         };

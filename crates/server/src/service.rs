@@ -34,24 +34,19 @@
 //! `{"error":"overloaded"}` / `{"error":"deadline_exceeded"}` responses
 //! (see [`Rejection`]).
 //!
-//! # Front ends
+//! # Front end
 //!
-//! Two transports serve this protocol:
-//!
-//! * [`serve_sharded`](crate::serve_sharded) — the default: a
-//!   readiness-driven event loop (`epoll` via `buffopt-netpoll`). One
-//!   acceptor hands connections round-robin to N reactor shards; each
-//!   shard owns its connections' state machines and its own [`Engine`],
-//!   and optimize requests route to engines by a rendezvous hash of the
-//!   net digest so cache and memo state shard cleanly. Client
-//!   disconnects surface as readiness (`EPOLLRDHUP`) and trip the
-//!   in-flight request's [`CancelToken`] — no
-//!   polling monitor thread. [`serve`] and [`serve_with`] are the
-//!   single-engine wrappers.
-//! * [`serve_threaded`](crate::serve_threaded) — the original
-//!   thread-per-connection implementation, kept as the benchmark
-//!   baseline and for byte-identical differential tests against the
-//!   reactor.
+//! [`serve_sharded`](crate::serve_sharded) serves this protocol on a
+//! readiness-driven event loop (`epoll` via `buffopt-netpoll`). One
+//! acceptor hands connections round-robin to N reactor shards; each
+//! shard owns its connections' state machines and its own [`Engine`].
+//! A shard answers protocol errors, `stats`, `shutdown`, cache hits and
+//! admission refusals on the spot; an admitted miss goes straight to its
+//! engine's queue, and the worker's completion posts the response back
+//! to the shard. Optimize requests route to engines by a rendezvous hash
+//! of the net digest so cache and memo state shard cleanly. Client
+//! disconnects surface as readiness (`EPOLLRDHUP`) and trip the
+//! in-flight request's [`CancelToken`] — no polling monitor thread.
 //!
 //! # Hardening
 //!
@@ -77,7 +72,6 @@
 //! [`Rejection`]: crate::Rejection
 //! [`Seam::Decode`]: buffopt_pipeline::fault::Seam
 
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,13 +79,13 @@ use buffopt::{CancelReason, CancelToken};
 use buffopt_pipeline::fault::{FaultAction, Seam};
 use buffopt_pipeline::NetInput;
 
-use crate::engine::{Engine, Job, Rejection, Served};
+use crate::engine::{Engine, Job, Served};
 
 /// Turns a request's `(id, net text)` into a [`NetInput`] — parsed, or a
 /// `Failed` record carrying the parser's message.
 pub type NetDecoder = Arc<dyn Fn(&str, &str) -> NetInput + Send + Sync>;
 
-/// Per-connection hardening knobs for [`serve_with`] and
+/// Per-connection hardening knobs for
 /// [`serve_sharded`](crate::serve_sharded).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -129,29 +123,6 @@ impl Default for ServeOptions {
     }
 }
 
-/// [`serve_with`] under [`ServeOptions::default`].
-pub fn serve(
-    listener: TcpListener,
-    engine: Arc<Engine>,
-    decode: NetDecoder,
-) -> std::io::Result<()> {
-    serve_with(listener, engine, decode, ServeOptions::default())
-}
-
-/// Serves the protocol on the readiness-driven reactor with a single
-/// shard/engine, until a `shutdown` command arrives; then drains (every
-/// in-flight response is written before this returns). This is
-/// [`serve_sharded`](crate::serve_sharded) with one engine — see the
-/// module docs for the transport's architecture.
-pub fn serve_with(
-    listener: TcpListener,
-    engine: Arc<Engine>,
-    decode: NetDecoder,
-    opts: ServeOptions,
-) -> std::io::Result<()> {
-    crate::reactor::serve_sharded(listener, vec![engine], decode, opts)
-}
-
 /// The typed response for a frame that failed validation.
 pub(crate) fn bad_frame_json(detail: &str) -> String {
     let mut s = String::from("{\"error\":\"bad_frame\",\"detail\":");
@@ -160,8 +131,7 @@ pub(crate) fn bad_frame_json(detail: &str) -> String {
     s
 }
 
-/// A parsed, validated request — the protocol commands both front ends
-/// execute.
+/// A parsed, validated request — the protocol's commands.
 #[derive(Debug)]
 pub(crate) enum Command {
     /// Optimize one net.
@@ -204,18 +174,16 @@ pub(crate) fn classify_request(line: &str) -> Result<Command, String> {
     }
 }
 
-/// Serves one optimize request against `engine`: decodes the net, fires
-/// the decode fault seam, and runs the engine call through `run` (the
-/// front end wraps it with its own cancellation machinery — disconnect
-/// monitor thread or readiness-driven token). Returns the response line.
-pub(crate) fn serve_optimize(
+/// Decodes one optimize request into a [`Job`] keyed for `engine`'s
+/// cache, firing the decode fault seam on the way. `Err` carries the
+/// response line for a request that ends here.
+pub(crate) fn decode_job(
     engine: &Engine,
     decode: &NetDecoder,
     id: &str,
     net_text: &str,
     cancel: &CancelToken,
-    run: impl FnOnce(Job) -> Result<Served, Rejection>,
-) -> String {
+) -> Result<Job, String> {
     let mut input = decode(id, net_text);
     // Decode-seam fault hook: models a defective decoder.
     match engine.fault_plan().and_then(|p| p.fire(Seam::Decode)) {
@@ -224,7 +192,7 @@ pub(crate) fn serve_optimize(
             panic!("injected decode panic")
         }
         Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::IoError) => return error_json("injected decode I/O error"),
+        Some(FaultAction::IoError) => return Err(error_json("injected decode I/O error")),
         Some(FaultAction::WrongOutput) => {
             input = NetInput::Failed {
                 name: id.to_string(),
@@ -248,26 +216,24 @@ pub(crate) fn serve_optimize(
         | Some(FaultAction::BitFlipMemoEntry)
         | Some(FaultAction::TruncateFrame) => {}
     }
-    let key = engine.key_for(id, net_text);
-    let job = Job {
+    Ok(Job {
         input,
-        cache_key: Some(key),
-    };
-    match run(job) {
-        Ok(served) => {
-            // Splice the serving provenance into the record.
-            let mut json = served.outcome.to_json();
-            let closed = json.pop();
-            debug_assert_eq!(closed, Some('}'));
-            json.push_str(&format!(
-                ",\"cache\":\"{}\",\"worker\":{}}}",
-                served.cache.as_str(),
-                served.worker
-            ));
-            json
-        }
-        Err(rejection) => error_json(rejection.as_str()),
-    }
+        cache_key: Some(engine.key_for(id, net_text)),
+    })
+}
+
+/// The response line for a served request: the record with its serving
+/// provenance (`cache`, `worker`) spliced in.
+pub(crate) fn served_json(served: &Served) -> String {
+    let mut json = served.outcome.to_json();
+    let closed = json.pop();
+    debug_assert_eq!(closed, Some('}'));
+    json.push_str(&format!(
+        ",\"cache\":\"{}\",\"worker\":{}}}",
+        served.cache.as_str(),
+        served.worker
+    ));
+    json
 }
 
 /// Test-only export of the request-line parser so the fuzz suite can

@@ -20,7 +20,7 @@ use buffopt_netlist::{parse, write as write_net, ParsedNet};
 use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
 use buffopt_pipeline::{NetInput, NetOutcome, Outcome, PipelineConfig};
 use buffopt_server::{
-    serve_with, CacheStatus, Engine, EngineOptions, Job, NetDecoder, Rejection, ServeOptions,
+    serve_sharded, CacheStatus, Engine, EngineOptions, Job, NetDecoder, Rejection, ServeOptions,
 };
 use buffopt_tree::{Driver, SinkSpec, Technology, TreeBuilder};
 use buffopt_workload::{adversarial, estimation_scenario, WorkloadConfig};
@@ -264,8 +264,9 @@ fn deadline_cancellation_aborts_the_stalled_run_and_is_counted() {
     assert_eq!(snap.cancellations, [1, 0, 0, 0], "deadline cancel counted");
     assert_eq!(snap.rejections[1], 1);
 
-    // The cancelled worker aborts right after the stall and retires
-    // against the surplus credit: back to one worker.
+    // The cancelled worker aborts right after the stall and, finding its
+    // request expired, retires in the surplus worker's place: back to
+    // one worker.
     wait_for("the cancelled worker to retire", || {
         engine.live_workers() == 1
     });
@@ -434,8 +435,8 @@ fn deadline_expiry_sheds_the_request_and_the_pool_recovers() {
     );
     assert_eq!(snap.worker_deaths, 0, "a stall is not a death");
 
-    // The stalled worker eventually finishes, finds its reply abandoned,
-    // and retires against the surplus credit: back to one worker.
+    // The stalled worker eventually finishes and, finding its request
+    // expired, retires in the surplus worker's place: back to one worker.
     wait_for("the stalled worker to retire", || {
         engine.live_workers() == 1
     });
@@ -443,6 +444,38 @@ fn deadline_expiry_sheds_the_request_and_the_pool_recovers() {
     // through the surplus worker that replaced the stalled slot.
     let served = engine.optimize(job("after-recovery"));
     assert_eq!(served.outcome.outcome, Outcome::Optimized);
+}
+
+#[test]
+fn surplus_worker_death_during_a_stall_leaves_the_pool_at_strength() {
+    let (engine, _plan) = engine_with(
+        FaultPlan::new()
+            // The first request stalls its worker past its deadline ...
+            .on_nth(Seam::Optimize, 1, FaultAction::StallMs(600))
+            // ... and the surplus worker spawned around the stall dies on
+            // the next request it dequeues.
+            .on_nth(Seam::Worker, 2, FaultAction::KillWorker),
+        EngineOptions {
+            jobs: 1,
+            max_retries: 1,
+            request_deadline: Some(Duration::from_millis(80)),
+            ..EngineOptions::default()
+        },
+    );
+    let r = engine.try_optimize(job("too-slow"));
+    assert_eq!(r.unwrap_err(), Rejection::DeadlineExceeded);
+
+    // The killed request is retried. When the stalled worker retires in
+    // the dead surplus worker's place, the supervisor must top the pool
+    // back up, or the retry would wait forever.
+    let served = engine.optimize(job("survivor"));
+    assert_eq!(served.outcome.outcome, Outcome::Optimized);
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.worker_deaths, 1);
+    assert_eq!(snap.retries, 1);
+    wait_for("pool back at target strength", || {
+        engine.live_workers() == 1
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -502,7 +535,7 @@ fn start_chaos_server(
     ));
     let server_engine = Arc::clone(&engine);
     let handle = std::thread::spawn(move || {
-        serve_with(listener, server_engine, decoder(), opts).expect("serve runs");
+        serve_sharded(listener, vec![server_engine], decoder(), opts).expect("serve runs");
     });
     (addr, engine, plan, handle)
 }
@@ -669,6 +702,14 @@ fn client_disconnect_mid_optimize_cancels_the_run_and_frees_the_worker() {
         "{stats}"
     );
     assert!(stats.contains("\"cancelled\":1"), "{stats}");
+
+    // The cancelled run's record answered nobody and was not cached:
+    // asking for the same net again computes it.
+    let again = roundtrip(&mut conn, &healthy_net_request("abandoned"));
+    assert!(
+        again.contains("\"outcome\":\"optimized\"") && again.contains("\"cache\":\"miss\""),
+        "{again}"
+    );
 
     let ack = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
     assert_eq!(ack, "{\"ok\":\"shutdown\"}");

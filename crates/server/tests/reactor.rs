@@ -1,6 +1,7 @@
 //! Reactor front-end hardening: slow-loris starvation, half-written
 //! oversized lines, the max-conns ceiling, multi-shard routing and
-//! stats aggregation, and byte-parity with the threaded baseline.
+//! stats aggregation, request deadlines over a live connection, and the
+//! golden protocol transcript.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -10,10 +11,9 @@ use std::time::{Duration, Instant};
 use buffopt_buffers::catalog;
 use buffopt_integrity::{decode_frame, encode_frame};
 use buffopt_netlist::{parse, write as write_net, ParsedNet};
+use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
 use buffopt_pipeline::{NetInput, PipelineConfig};
-use buffopt_server::{
-    serve_sharded, serve_threaded, serve_with, Engine, EngineOptions, NetDecoder, ServeOptions,
-};
+use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
 fn pipeline_config() -> PipelineConfig {
@@ -330,7 +330,7 @@ fn sharded_serving_routes_consistently_and_aggregates_stats() {
 }
 
 /// Blanks the volatile fields (`wall_ms` always; `worker` is stable at
-/// jobs=1 but normalized anyway) so front ends can be compared bytewise.
+/// jobs=1 but normalized anyway) so responses compare bytewise.
 fn normalize(line: &str) -> String {
     let mut out = line.to_string();
     for key in ["\"wall_ms\":", "\"worker\":"] {
@@ -346,76 +346,139 @@ fn normalize(line: &str) -> String {
     out
 }
 
+/// Every key path in a JSON document (`a.b`, `list[].c`), sorted and
+/// deduplicated: the document's shape without its values.
+fn key_paths(json: &str) -> Vec<String> {
+    let b = json.as_bytes();
+    let mut paths = std::collections::BTreeSet::new();
+    // Open containers: (is_object, path of the container itself).
+    let mut stack: Vec<(bool, String)> = Vec::new();
+    let mut last_key = String::new();
+    let mut i = 0;
+    while i < b.len() {
+        match b[i] {
+            b'"' => {
+                let start = i + 1;
+                i += 1;
+                while b[i] != b'"' {
+                    if b[i] == b'\\' {
+                        i += 1;
+                    }
+                    i += 1;
+                }
+                let s = &json[start..i];
+                let mut j = i + 1;
+                while j < b.len() && b[j].is_ascii_whitespace() {
+                    j += 1;
+                }
+                if j < b.len() && b[j] == b':' {
+                    let parent = stack.last().map(|(_, p)| p.as_str()).unwrap_or("");
+                    last_key = if parent.is_empty() {
+                        s.to_string()
+                    } else {
+                        format!("{parent}.{s}")
+                    };
+                    paths.insert(last_key.clone());
+                }
+            }
+            open @ (b'{' | b'[') => {
+                let path = match stack.last() {
+                    None => String::new(),
+                    Some((true, _)) => last_key.clone(),
+                    Some((false, p)) => format!("{p}[]"),
+                };
+                stack.push((open == b'{', path));
+            }
+            b'}' | b']' => {
+                stack.pop();
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    paths.into_iter().collect()
+}
+
+/// Compares `actual` against a committed fixture line by line, printing
+/// the whole actual text on a mismatch so a deliberate protocol change
+/// can be re-recorded by hand.
+fn assert_matches_fixture(name: &str, expected: &str, actual: &[String]) {
+    let expected: Vec<&str> = expected.lines().collect();
+    let shown = actual.join("\n");
+    assert_eq!(
+        expected.len(),
+        actual.len(),
+        "{name}: line count differs; actual:\n{shown}"
+    );
+    for (i, (e, a)) in expected.iter().zip(actual).enumerate() {
+        assert_eq!(e, a, "{name}: line {i} differs; actual:\n{shown}");
+    }
+}
+
+/// The protocol's golden transcript: one request per protocol path, the
+/// responses normalized (`wall_ms`, `worker`) and compared bytewise with
+/// `fixtures/protocol_transcript.jsonl`, which was recorded from the
+/// front end as it stood before the serving path was rebuilt around
+/// completion callbacks. The `stats` response's values vary run to run,
+/// so only its key set is pinned (`fixtures/stats_keys.txt`).
 #[test]
-fn reactor_and_threaded_front_ends_serve_identical_bytes() {
-    let run = |threaded: bool| -> Vec<String> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let engine = new_engine(1);
-        let opts = ServeOptions {
+fn protocol_transcript_matches_the_recorded_bytes() {
+    let (addr, server) = start_reactor(
+        vec![new_engine(1)],
+        ServeOptions {
             frame_check: true,
             max_line_bytes: 4096,
             ..ServeOptions::default()
-        };
-        let server = std::thread::spawn(move || {
-            if threaded {
-                serve_threaded(listener, engine, decoder(), opts).expect("serve runs");
-            } else {
-                serve_with(listener, engine, decoder(), opts).expect("serve runs");
-            }
-        });
-
-        let mut conn = connect(addr);
-        // One request per protocol path: healthy net (then its cache
-        // hit), unparsable net, malformed JSON, missing net field,
-        // unknown cmd, framed round-trip, oversize, shutdown ack.
-        // (`stats` is deliberately absent: the reactor's snapshot adds
-        // the per-shard breakdown, a documented extension.)
-        let mut responses = vec![
-            normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
-            normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
-            normalize(&roundtrip(
-                &mut conn,
-                "{\"id\":\"broken\",\"net\":\"tree{\\n\"}",
-            )),
-            roundtrip(&mut conn, "not json at all"),
-            roundtrip(&mut conn, "{\"cmd\":\"optimize\",\"id\":\"x\"}"),
-            roundtrip(&mut conn, "{\"cmd\":\"bogus\"}"),
-        ];
-
-        // A framed healthy request must come back framed, same payload.
-        let framed = encode_frame(healthy_net_request("framed").as_bytes());
-        conn.1.write_all(&framed).expect("send frame");
-        conn.1.write_all(b"\n").expect("send newline");
-        let mut line = Vec::new();
-        conn.0
-            .read_until(b'\n', &mut line)
-            .expect("framed response");
-        let payload = decode_frame(line.strip_suffix(b"\n").unwrap_or(&line))
-            .expect("well-formed response frame");
-        responses.push(normalize(
-            std::str::from_utf8(payload).expect("utf8 payload"),
-        ));
-
-        let oversize = format!("{{\"id\":\"big\",\"net\":\"{}\"}}", "z".repeat(8192));
-        let mut over = connect(addr);
-        responses.push(roundtrip(&mut over, &oversize));
-
-        responses.push(roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}"));
-        server.join().expect("serve exits");
-        responses
-    };
-
-    let threaded = run(true);
-    let reactor = run(false);
-    assert_eq!(
-        threaded.len(),
-        reactor.len(),
-        "same number of responses from both front ends"
+        },
     );
-    for (i, (t, r)) in threaded.iter().zip(reactor.iter()).enumerate() {
-        assert_eq!(t, r, "response {i} differs between front ends");
-    }
+
+    let mut conn = connect(addr);
+    // Healthy net (then its cache hit), unparsable net, malformed JSON,
+    // missing net field, unknown cmd.
+    let mut responses = vec![
+        normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
+        normalize(&roundtrip(&mut conn, &healthy_net_request("same"))),
+        normalize(&roundtrip(
+            &mut conn,
+            "{\"id\":\"broken\",\"net\":\"tree{\\n\"}",
+        )),
+        roundtrip(&mut conn, "not json at all"),
+        roundtrip(&mut conn, "{\"cmd\":\"optimize\",\"id\":\"x\"}"),
+        roundtrip(&mut conn, "{\"cmd\":\"bogus\"}"),
+    ];
+
+    // A framed healthy request must come back framed, same payload.
+    let framed = encode_frame(healthy_net_request("framed").as_bytes());
+    conn.1.write_all(&framed).expect("send frame");
+    conn.1.write_all(b"\n").expect("send newline");
+    let mut line = Vec::new();
+    conn.0
+        .read_until(b'\n', &mut line)
+        .expect("framed response");
+    let payload = decode_frame(line.strip_suffix(b"\n").unwrap_or(&line))
+        .expect("well-formed response frame");
+    responses.push(normalize(
+        std::str::from_utf8(payload).expect("utf8 payload"),
+    ));
+
+    let oversize = format!("{{\"id\":\"big\",\"net\":\"{}\"}}", "z".repeat(8192));
+    let mut over = connect(addr);
+    responses.push(roundtrip(&mut over, &oversize));
+
+    let stats = roundtrip(&mut conn, "{\"cmd\":\"stats\"}");
+    responses.push(roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}"));
+    server.join().expect("serve exits");
+
+    assert_matches_fixture(
+        "protocol transcript",
+        include_str!("fixtures/protocol_transcript.jsonl"),
+        &responses,
+    );
+    assert_matches_fixture(
+        "stats key set",
+        include_str!("fixtures/stats_keys.txt"),
+        &key_paths(&stats),
+    );
 }
 
 #[test]
@@ -458,6 +521,85 @@ fn pipelined_requests_before_disconnect_are_still_served_in_order() {
 
     let mut admin = connect(addr);
     let ack = roundtrip(&mut admin, "{\"cmd\":\"shutdown\"}");
+    assert_eq!(ack, "{\"ok\":\"shutdown\"}");
+    server.join().expect("serve exits");
+}
+
+#[test]
+fn request_deadline_over_tcp_is_answered_once_and_the_connection_serves_on() {
+    let engine = Arc::new(Engine::new(
+        pipeline_config(),
+        EngineOptions {
+            jobs: 1,
+            request_deadline: Some(Duration::from_millis(80)),
+            // Stall inside the per-net boundary: the run is reliably in
+            // flight when the deadline passes, and aborts at its first
+            // checkpoint once the sleep ends.
+            fault_plan: Some(Arc::new(FaultPlan::new().on_nth(
+                Seam::Optimize,
+                1,
+                FaultAction::StallMs(600),
+            ))),
+            ..EngineOptions::default()
+        },
+    ));
+    std::panic::set_hook(Box::new(|info| eprintln!("test panic: {info}")));
+    let (addr, server) = start_reactor(vec![Arc::clone(&engine)], ServeOptions::default());
+    let mut conn = connect(addr);
+
+    // The shard's timer answers the stalled request, long before the
+    // stall ends.
+    let started = Instant::now();
+    let expired = roundtrip(&mut conn, &healthy_net_request("too-slow"));
+    let waited = started.elapsed();
+    assert_eq!(expired, "{\"error\":\"deadline_exceeded\"}");
+    assert!(
+        waited < Duration::from_millis(400),
+        "answered by the deadline, not the stalled run: {waited:?}"
+    );
+
+    // The connection takes its next request at once; the surplus worker
+    // serves it while the stalled one still sleeps.
+    let next = roundtrip(&mut conn, &healthy_net_request("next"));
+    assert!(
+        next.contains("\"net\":\"next\"") && next.contains("\"outcome\":\"optimized\""),
+        "the next request got its own record: {next}"
+    );
+
+    // Let the stalled run finish: its late completion must not reach the
+    // socket.
+    std::thread::sleep(
+        (started + Duration::from_millis(800)).saturating_duration_since(Instant::now()),
+    );
+    conn.1
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("timeout");
+    let mut extra = String::new();
+    match conn.0.read_line(&mut extra) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("a second line for the expired request: {other:?} {extra:?}"),
+    }
+    conn.1.set_read_timeout(None).expect("timeout");
+
+    // The expired run left nothing in the cache: asking again computes.
+    let again = roundtrip(&mut conn, &healthy_net_request("too-slow"));
+    assert!(
+        again.contains("\"outcome\":\"optimized\"") && again.contains("\"cache\":\"miss\""),
+        "{again}"
+    );
+
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.rejections[1], 1, "one deadline_exceeded");
+    assert_eq!(
+        snap.cancellations,
+        [1, 0, 0, 0],
+        "one deadline cancellation"
+    );
+    wait_for("the pool to return to one worker", || {
+        engine.live_workers() == 1
+    });
+
+    let ack = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
     assert_eq!(ack, "{\"ok\":\"shutdown\"}");
     server.join().expect("serve exits");
 }

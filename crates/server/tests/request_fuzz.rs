@@ -145,7 +145,7 @@ mod protocol {
     use std::sync::Arc;
 
     use buffopt_pipeline::{NetInput, PipelineConfig};
-    use buffopt_server::{serve, Engine, EngineOptions, NetDecoder};
+    use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
     use proptest::prelude::*;
 
     fn decoder() -> NetDecoder {
@@ -215,7 +215,8 @@ mod protocol {
                 EngineOptions { jobs: 1, ..EngineOptions::default() },
             ));
             let server = std::thread::spawn(move || {
-                serve(listener, engine, decoder()).expect("serve runs");
+                serve_sharded(listener, vec![engine], decoder(), ServeOptions::default())
+                    .expect("serve runs");
             });
 
             let stream = TcpStream::connect(addr).expect("connect");

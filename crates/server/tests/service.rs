@@ -9,7 +9,7 @@ use std::sync::Arc;
 use buffopt_buffers::catalog;
 use buffopt_netlist::{parse, write as write_net, ParsedNet};
 use buffopt_pipeline::{NetInput, PipelineConfig};
-use buffopt_server::{serve, Engine, EngineOptions, NetDecoder};
+use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
 /// The text of a healthy net, as a client would hold it.
@@ -49,7 +49,8 @@ fn start_server(jobs: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<(
         },
     ));
     let handle = std::thread::spawn(move || {
-        serve(listener, engine, decoder()).expect("serve runs");
+        serve_sharded(listener, vec![engine], decoder(), ServeOptions::default())
+            .expect("serve runs");
     });
     (addr, handle)
 }

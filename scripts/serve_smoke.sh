@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-test the `buffopt-cli serve` newline-JSON TCP service end to end.
 #
-# Leg 1 drives the sharded reactor front end (2 shards, --frame-check,
-# a --max-conns ceiling): a healthy request, a cache hit, a malformed
-# line, a parse error, a length+CRC framed round-trip, a damaged frame,
-# and a stats probe asserting the aggregate counters and the per-shard
-# breakdown, then an orderly shutdown. Leg 2 reruns a minimal
-# healthy-request/shutdown pass against the legacy thread-per-connection
-# front end (--threaded) so the fallback path stays exercised in CI.
+# Drives the sharded reactor (2 shards, --frame-check, a --max-conns
+# ceiling): a healthy request, a cache hit, a malformed line, a parse
+# error, a length+CRC framed round-trip, a damaged frame, and a stats
+# probe asserting the aggregate counters and the per-shard breakdown,
+# then an orderly shutdown.
 #
 # usage: scripts/serve_smoke.sh [path-to-buffopt-cli]
 set -euo pipefail
@@ -76,7 +74,6 @@ stop_server() {
     fi
 }
 
-# ---- Leg 1: sharded reactor with framing and a conn ceiling ----
 start_server --jobs 2 --shards 2 --max-conns 64 --frame-check
 
 python3 - "$addr" <<'PY'
@@ -174,35 +171,9 @@ assert sum(s["cache_hits"] for s in shards) == stats["cache"]["hits"], stats
 
 ack = request({"cmd": "shutdown"})
 assert ack == {"ok": "shutdown"}, ack
-print("reactor leg: all requests answered correctly")
+print("all requests answered correctly")
 PY
 
 stop_server
 
-# ---- Leg 2: the legacy threaded front end stays serviceable ----
-start_server --jobs 1 --threaded
-
-python3 - "$addr" <<'PY'
-import json, socket, sys
-
-host, port = sys.argv[1].rsplit(":", 1)
-sock = socket.create_connection((host, int(port)), timeout=10)
-io = sock.makefile("rw", encoding="utf-8", newline="\n")
-
-
-def request(obj):
-    io.write(json.dumps(obj) + "\n")
-    io.flush()
-    return json.loads(io.readline().strip())
-
-
-net = "net smoke\ndriver 150 2e-11\nwire source s 40 1.25e-13 500\nsink s 1.5e-14 5e-10 0.8\n"
-first = request({"id": "smoke", "net": net})
-assert first["outcome"] == "optimized", first
-ack = request({"cmd": "shutdown"})
-assert ack == {"ok": "shutdown"}, ack
-print("threaded leg: healthy request and shutdown ok")
-PY
-
-stop_server
 echo "serve smoke test passed"
