@@ -28,12 +28,19 @@
 //! hardware, so a genuine regression in the arena engine (say, integrity
 //! bookkeeping leaking into the DP hot path) moves the ratio while mere
 //! machine speed does not.
+//!
+//! Every row also records the arena engine's exact work counters
+//! ([`buffopt::DpWork`]): rows fed to the fused merge's dominance sweeps,
+//! rows its emission filter dropped, and mid-merge compactions. They
+//! count rows, not time, so the gate checks `merge_rows_swept` exactly
+//! and one-sided: any rise above the baseline row fails, with no
+//! tolerance, and a fall passes.
 
 use std::time::Instant;
 
 use buffopt::dp_reference::{run_arena, run_reference, EngineConfig};
 use buffopt::iterative::{self, IterativeOptions};
-use buffopt::{DpWorkspace, RunBudget};
+use buffopt::{DpWork, DpWorkspace, RunBudget};
 use buffopt_buffers::catalog;
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder};
@@ -137,6 +144,14 @@ fn measure(samples: usize, mut f: impl FnMut()) -> Measured {
     }
 }
 
+/// The work-counter fields of a size row (leading comma included).
+fn json_work(w: &DpWork) -> String {
+    format!(
+        ",\"merge_rows_swept\":{},\"merge_rows_dropped\":{},\"merge_compactions\":{}",
+        w.merge_rows_swept, w.merge_rows_dropped, w.merge_compactions
+    )
+}
+
 fn json_engine(m: &Measured) -> String {
     format!(
         "{{\"median_ns\":{},\"min_ns\":{},\"allocs_per_run\":{},\"alloc_bytes_per_run\":{}}}",
@@ -151,11 +166,19 @@ fn number_after(json: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// `(sinks, arena (median_ns, min_ns), reference (median_ns, min_ns))`.
-type SizeRow = (u64, (u64, u64), (u64, u64));
+/// One size row of a snapshot, as the gate reads it.
+struct SizeRow {
+    sinks: u64,
+    /// Arena engine `(median_ns, min_ns)`.
+    arena: (u64, u64),
+    /// Seed engine `(median_ns, min_ns)`.
+    reference: (u64, u64),
+    /// Exact work counter; `None` in snapshots that predate it.
+    rows_swept: Option<u64>,
+}
 
 /// Per size row of a snapshot's `sizes` and `scaling` sections.
-fn size_medians(json: &str) -> Vec<SizeRow> {
+fn size_rows(json: &str) -> Vec<SizeRow> {
     // The `analysis` rows also carry `"sinks"`, so only read up to there.
     let sizes = json.split("\"analysis\":").next().unwrap_or(json);
     let mut out = Vec::new();
@@ -174,39 +197,65 @@ fn size_medians(json: &str) -> Vec<SizeRow> {
             number_after(&row[ref_at..], "\"median_ns\":"),
             number_after(&row[ref_at..], "\"min_ns\":"),
         ) {
-            out.push((sinks, (arena, arena_min), (reference, ref_min)));
+            out.push(SizeRow {
+                sinks,
+                arena: (arena, arena_min),
+                reference: (reference, ref_min),
+                rows_swept: number_after(row, "\"merge_rows_swept\":"),
+            });
         }
     }
     out
 }
 
-/// Compares the fresh snapshot's arena/reference median ratios against
-/// `baseline`'s, size by size. A size fails only if both its median
-/// ratio *and* its min-time ratio drifted beyond `tolerance_pct` — the
-/// min is far less sampling-noisy than a 5-sample median, so a genuine
-/// slowdown (which moves both) still trips while scheduler jitter on one
-/// sample does not. Returns `Err` naming the first failing size.
+/// Compares the fresh snapshot against `baseline`, size by size. A size
+/// fails if its `merge_rows_swept` rose above the baseline's at all, or
+/// is missing where the baseline has it (a baseline without it is gated
+/// on timing alone), or if both its arena/reference median ratio
+/// *and* its min-time ratio drifted beyond `tolerance_pct` — the min is
+/// far less sampling-noisy than a 5-sample median, so a genuine slowdown
+/// (which moves both) still trips while scheduler jitter on one sample
+/// does not. Returns `Err` naming the first failing size.
 fn gate_against(baseline: &str, fresh: &str, tolerance_pct: f64) -> Result<(), String> {
-    let base = size_medians(baseline);
-    let new = size_medians(fresh);
+    let base = size_rows(baseline);
+    let new = size_rows(fresh);
     if base.is_empty() {
         return Err("baseline has no sizes section".to_string());
     }
-    for (sinks, arena, reference) in &new {
-        let Some((_, b_arena, b_reference)) = base.iter().find(|(s, _, _)| s == sinks) else {
+    for row in &new {
+        let sinks = row.sinks;
+        let Some(b) = base.iter().find(|b| b.sinks == sinks) else {
             // A fresh snapshot may carry sizes (e.g. a new scaling tier)
             // an older committed baseline predates; gate only on the
             // sizes present in both.
             eprintln!("gate: sinks {sinks:>2}: no baseline row, skipped");
             continue;
         };
+        // Only a baseline that predates the counter skips this gate; a
+        // fresh row that lost it is a writer fault, not a pass.
+        match (row.rows_swept, b.rows_swept) {
+            (Some(swept), Some(b_swept)) => {
+                eprintln!("gate: sinks {sinks:>2}: merge rows swept {swept} (baseline {b_swept})");
+                if swept > b_swept {
+                    return Err(format!(
+                        "{sinks}-sink merge rows swept rose from {b_swept} to {swept}"
+                    ));
+                }
+            }
+            (None, Some(_)) => {
+                return Err(format!(
+                    "{sinks}-sink fresh snapshot lacks merge_rows_swept"
+                ));
+            }
+            (_, None) => {}
+        }
         let drift = |n: u64, d: u64, bn: u64, bd: u64| {
             let base_ratio = bn as f64 / bd.max(1) as f64;
             let ratio = n as f64 / d.max(1) as f64;
             (ratio / base_ratio - 1.0) * 100.0
         };
-        let median_drift = drift(arena.0, reference.0, b_arena.0, b_reference.0);
-        let min_drift = drift(arena.1, reference.1, b_arena.1, b_reference.1);
+        let median_drift = drift(row.arena.0, row.reference.0, b.arena.0, b.reference.0);
+        let min_drift = drift(row.arena.1, row.reference.1, b.arena.1, b.reference.1);
         eprintln!(
             "gate: sinks {sinks:>2}: arena/reference median drift {median_drift:+.1}%, \
              min drift {min_drift:+.1}%"
@@ -253,6 +302,7 @@ fn main() {
 
         let (_, stats) = run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws)
             .expect("comb net solves");
+        let work = ws.work();
         let arena = measure(samples, || {
             run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws).expect("solves");
         });
@@ -265,19 +315,21 @@ fn main() {
         let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
         eprintln!(
             "sinks {sinks:>2}: arena {:>9} ns, reference {:>9} ns ({speedup:.2}x), \
-             peak {} candidates / {} merge product, {} vs {} allocs/run",
+             peak {} candidates / {} merge product, {} vs {} allocs/run, \
+             {} merge rows swept",
             arena.median_ns,
             reference.median_ns,
             stats.peak_candidates,
             stats.peak_merge_product,
             arena.allocs_per_run,
             reference.allocs_per_run,
+            work.merge_rows_swept,
         );
         rows.push(format!(
             "{{\"sinks\":{},\"nodes\":{},\"arena\":{},\"reference\":{},\
              \"speedup\":{:.3},\"peak_candidates\":{},\"peak_merge_product\":{},\
              \"merge_enumerated\":{},\"merge_pruned\":{},\
-             \"reference_peak_candidates\":{}}}",
+             \"reference_peak_candidates\":{}{}}}",
             sinks,
             tree.len(),
             json_engine(&arena),
@@ -288,6 +340,7 @@ fn main() {
             stats.merge_products_enumerated,
             stats.merge_products_pruned,
             ref_stats.peak_candidates,
+            json_work(&work),
         ));
 
         // Greedy iterative insertion, probe-scored two ways: incremental
@@ -340,6 +393,7 @@ fn main() {
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
         let (_, stats) = run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws)
             .expect("scaling net solves");
+        let work = ws.work();
         let arena = measure(scaling_samples, || {
             run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws).expect("solves");
         });
@@ -351,18 +405,20 @@ fn main() {
         let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
         eprintln!(
             "scaling {sinks:>3}: arena {:>10} ns, reference {:>10} ns ({speedup:.2}x), \
-             enumerated {} / pruned {} of {} raw pairs",
+             enumerated {} / pruned {} of {} raw pairs, {} merge rows swept / {} dropped",
             arena.median_ns,
             reference.median_ns,
             stats.merge_products_enumerated,
             stats.merge_products_pruned,
             ref_stats.merge_products_enumerated + ref_stats.merge_products_pruned,
+            work.merge_rows_swept,
+            work.merge_rows_dropped,
         );
         scaling_rows.push(format!(
             "{{\"sinks\":{},\"nodes\":{},\"arena\":{},\"reference\":{},\
              \"speedup\":{:.3},\"peak_candidates\":{},\"peak_merge_product\":{},\
              \"merge_enumerated\":{},\"merge_pruned\":{},\
-             \"reference_merge_enumerated\":{}}}",
+             \"reference_merge_enumerated\":{}{}}}",
             sinks,
             tree.len(),
             json_engine(&arena),
@@ -373,11 +429,12 @@ fn main() {
             stats.merge_products_enumerated,
             stats.merge_products_pruned,
             ref_stats.merge_products_enumerated,
+            json_work(&work),
         ));
     }
 
     let alloc_counted = cfg!(feature = "alloc-count");
-    // The `scaling` rows sit before `analysis` so `size_medians` (and
+    // The `scaling` rows sit before `analysis` so `size_rows` (and
     // therefore the gate) covers them alongside the comb sizes.
     let json = format!(
         "{{\"bench\":\"dp_snapshot\",\"mode\":\"{}\",\"samples\":{},\
@@ -400,11 +457,42 @@ fn main() {
         let baseline = std::fs::read_to_string(base_path)
             .unwrap_or_else(|e| panic!("cannot read gate baseline {base_path}: {e}"));
         match gate_against(&baseline, &json, tolerance_pct) {
-            Ok(()) => eprintln!("gate: medians within {tolerance_pct}% of {base_path}"),
+            Ok(()) => eprintln!(
+                "gate: medians within {tolerance_pct}% and rows swept no higher than {base_path}"
+            ),
             Err(why) => {
                 eprintln!("gate FAILED against {base_path}: {why}");
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gate_against;
+
+    fn snapshot(swept: Option<u64>, arena_ns: u64) -> String {
+        let work = swept.map_or(String::new(), |w| format!(",\"merge_rows_swept\":{w}"));
+        format!(
+            "{{\"sizes\":[{{\"sinks\":64,\"arena\":{{\"median_ns\":{arena_ns},\"min_ns\":{arena_ns}}},\
+             \"reference\":{{\"median_ns\":1000,\"min_ns\":1000}}{work}}}],\"analysis\":[]}}"
+        )
+    }
+
+    #[test]
+    fn rows_swept_gate_is_exact_and_one_sided() {
+        let base = snapshot(Some(500), 100);
+        assert!(gate_against(&base, &snapshot(Some(500), 100), 2.0).is_ok());
+        assert!(gate_against(&base, &snapshot(Some(499), 100), 2.0).is_ok());
+        let err = gate_against(&base, &snapshot(Some(501), 100), 2.0).unwrap_err();
+        assert!(err.contains("rows swept rose from 500 to 501"), "{err}");
+        // A baseline that predates the counter gates on timing alone.
+        assert!(gate_against(&snapshot(None, 100), &snapshot(Some(501), 100), 2.0).is_ok());
+        // A fresh snapshot that dropped the counter fails against one that has it.
+        let err = gate_against(&base, &snapshot(None, 100), 2.0).unwrap_err();
+        assert!(err.contains("lacks merge_rows_swept"), "{err}");
+        // The timing ratio gate is unchanged beside it.
+        assert!(gate_against(&base, &snapshot(Some(500), 110), 2.0).is_err());
     }
 }

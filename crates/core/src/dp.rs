@@ -33,6 +33,8 @@
 //!   buffer that is compacted by the dominance sweep whenever it doubles,
 //!   so the full |L|·|R| product never has to be held live and the
 //!   `budget.admit_candidates` gate applies to the *surviving* count;
+//!   a row that a survivor of an earlier compaction already dominates in
+//!   its own class is not pushed at all (DESIGN §15);
 //! * **run-merging prune** — callers tell the dominance sweep how long a
 //!   prefix they already hold in sweep order, so only the unsorted tail
 //!   is sorted and merged in, and the lower-count frontier is a staircase
@@ -54,6 +56,7 @@ use crate::arena::{ProvArena, NONE};
 use crate::budget::RunBudget;
 use crate::climb::NOISE_TOL;
 use crate::error::{BudgetResource, CoreError};
+use crate::workspace::DpWork;
 
 /// A DP candidate (paper Fig. 10: `(C, q, I, NS, M)` plus the Lillis
 /// extensions: buffer count, total buffer cost, and signal parity).
@@ -208,6 +211,9 @@ pub(crate) struct DpScratch {
     pool: Vec<Vec<DpCand>>,
     /// Fused-merge row buffer.
     rows: Vec<MergeRow>,
+    /// Fused merge: per-class row ranges of the last compaction's
+    /// survivors (see [`index_survivors`]).
+    survivor_index: Vec<(u32, u32)>,
     /// Sweep prune: the lower-count dominance frontier.
     frontier: Staircase,
     /// Sweep prune: out-of-place copy of a presorted candidate run.
@@ -234,6 +240,8 @@ pub(crate) struct DpScratch {
     rcls: Vec<(u32, u32)>,
     /// Predictive merge: q-descending probe order within one class.
     qord: Vec<u32>,
+    /// Exact work counters of the current run.
+    pub(crate) work: DpWork,
 }
 
 impl DpScratch {
@@ -255,6 +263,7 @@ impl DpScratch {
             self.best.resize_with(nbuf, Vec::new);
         }
         self.rows.clear();
+        self.survivor_index.clear();
         self.frontier.clear();
         self.head_cands.clear();
         self.head_rows.clear();
@@ -267,6 +276,7 @@ impl DpScratch {
         self.smin_r.clear();
         self.rcls.clear();
         self.qord.clear();
+        self.work = DpWork::default();
     }
 
     fn alloc(&mut self) -> Vec<DpCand> {
@@ -805,13 +815,12 @@ fn witness_envelopes(list: &[DpCand], conditioned: bool, wit: &mut Vec<f64>, qor
     }
 }
 
-/// Emits one legal merge pair into the fused row buffer: updates the
-/// per-(buffer, class) best tables (pre-prune, in generation order,
-/// exactly like the seed's insert_buffers over the materialized product)
-/// and pushes the row with deferred provenance.
+/// Emits one legal merge pair: updates the per-(buffer, class) best
+/// tables (pre-prune, in generation order, exactly like the seed's
+/// insert_buffers over the materialized product) and returns the row with
+/// deferred provenance for the caller to push.
 // Both enumeration paths call this once per legal pair; flat arguments
 // keep the hot loop free of aggregate construction.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn fused_emit(
     a: &DpCand,
@@ -821,8 +830,7 @@ fn fused_emit(
     cfg: &DpConfig,
     feasible: bool,
     best: &mut [Vec<Option<BestBuf>>],
-    rows: &mut Vec<MergeRow>,
-) {
+) -> MergeRow {
     let row = DpCand {
         cap: a.cap + b.cap,
         q: a.q.min(b.q),
@@ -860,11 +868,57 @@ fn fused_emit(
             }
         }
     }
-    rows.push(MergeRow {
+    MergeRow {
         cand: row,
         left: a.prov,
         right: b.prov,
-    });
+    }
+}
+
+/// Indexes the fused merge's last compaction survivors by class: entry
+/// `2·count + parity` of `index` is that class's range in `survivors`,
+/// empty when the class has none. The sweep leaves each class contiguous
+/// with cap and q both strictly ascending.
+fn index_survivors(survivors: &[MergeRow], index: &mut Vec<(u32, u32)>) {
+    index.clear();
+    let mut s = 0;
+    while s < survivors.len() {
+        let (count, parity) = (survivors[s].cand.count, survivors[s].cand.parity);
+        let mut e = s + 1;
+        while e < survivors.len()
+            && survivors[e].cand.count == count
+            && survivors[e].cand.parity == parity
+        {
+            e += 1;
+        }
+        debug_assert!(
+            survivors[s..e]
+                .windows(2)
+                .all(|w| w[0].cand.cap < w[1].cand.cap && w[0].cand.q < w[1].cand.q),
+            "compaction survivors of class ({count}, {parity}) are not a staircase"
+        );
+        let class = 2 * count + usize::from(parity);
+        if index.len() <= class {
+            index.resize(class + 1, (0, 0));
+        }
+        index[class] = (s as u32, e as u32);
+        s = e;
+    }
+}
+
+/// Whether a survivor indexed by [`index_survivors`] dominates `row` in
+/// its own class: the last survivor with cap ≤ `row.cap` (the largest q
+/// among them, since q ascends) has q ≥ `row.q`. Such a survivor was
+/// generated earlier and sorts before `row` even on an exact key tie, so
+/// the next sweep would drop `row` anyway (DESIGN §15).
+#[inline]
+fn survivor_covers(survivors: &[MergeRow], index: &[(u32, u32)], row: &DpCand) -> bool {
+    let Some(&(s, e)) = index.get(2 * row.count + usize::from(row.parity)) else {
+        return false;
+    };
+    let class = &survivors[s as usize..e as usize];
+    let k = class.partition_point(|r| r.cand.cap <= row.cap);
+    k > 0 && class[k - 1].cand.q >= row.q
 }
 
 /// Fused merge + buffer-insert + prune for the paper's (C, q) pruning
@@ -887,6 +941,12 @@ fn fused_emit(
 /// final dominance sweep and outbid in every best-buffer slot, so the
 /// surviving rows, slot winners, provenance, and solutions are bitwise
 /// those of the full enumeration.
+///
+/// After each mid-merge compaction the survivors are indexed by class,
+/// and an emitted row that a survivor of its own class already dominates
+/// still bids for the best-buffer slots but is not pushed
+/// ([`survivor_covers`]): the sweep would drop it, so only the row
+/// buffer's length — and with it the compaction cadence — moves.
 ///
 /// Returns the pruned product (in sweep order) followed by the freshly
 /// buffered candidates, and the length of that sorted head.
@@ -916,6 +976,7 @@ fn merge_fused(
     let DpScratch {
         arena,
         rows,
+        survivor_index,
         frontier,
         head_rows,
         best,
@@ -925,19 +986,23 @@ fn merge_fused(
         smin_r,
         rcls,
         qord,
+        work,
         ..
     } = scratch;
     rows.clear();
+    survivor_index.clear();
     for t in best.iter_mut() {
         t.clear();
     }
     let mut generated = 0usize;
     // Rows below this index are the last compaction's survivors, already
-    // in sweep order.
+    // in sweep order and indexed in `survivor_index`.
     let mut sorted_rows = 0usize;
     let mut compact_at = 1024usize;
     let mut tick = 0usize;
     if product < PREDICTIVE_MIN_PRODUCT {
+        // Fewer rows than the first compaction point: no compaction, so
+        // no survivor index to filter against either.
         for a in left {
             for b in right {
                 // Stride checkpoint: without it a single huge fused merge
@@ -959,14 +1024,8 @@ fn merge_fused(
                         continue;
                     }
                 }
-                fused_emit(a, b, count, lib, cfg, feasible, best, rows);
+                rows.push(fused_emit(a, b, count, lib, cfg, feasible, best));
                 generated += 1;
-                if rows.len() >= compact_at {
-                    budget.checkpoint()?;
-                    sweep_prune(rows, sorted_rows, head_rows, frontier);
-                    sorted_rows = rows.len();
-                    compact_at = (rows.len() * 2).max(1024);
-                }
             }
         }
     } else {
@@ -1038,12 +1097,20 @@ fn merge_fused(
                         if a.q <= wit_r[j] {
                             continue; // b's witness covers this pair
                         }
-                        fused_emit(a, b, count, lib, cfg, feasible, best, rows);
+                        let row = fused_emit(a, b, count, lib, cfg, feasible, best);
                         generated += 1;
+                        if survivor_covers(&rows[..sorted_rows], survivor_index, &row.cand) {
+                            work.merge_rows_dropped += 1;
+                            continue;
+                        }
+                        rows.push(row);
                         if rows.len() >= compact_at {
                             budget.checkpoint()?;
+                            work.merge_rows_swept += rows.len() as u64;
+                            work.merge_compactions += 1;
                             sweep_prune(rows, sorted_rows, head_rows, frontier);
                             sorted_rows = rows.len();
+                            index_survivors(rows, survivor_index);
                             compact_at = (rows.len() * 2).max(1024);
                         }
                     }
@@ -1058,6 +1125,7 @@ fn merge_fused(
     if generated == 0 {
         return Err(CoreError::NoFeasibleCandidate);
     }
+    work.merge_rows_swept += rows.len() as u64;
     sweep_prune(rows, sorted_rows, head_rows, frontier);
     out.reserve(rows.len());
     for r in rows.iter() {
@@ -2409,6 +2477,167 @@ mod tests {
             assert_eq!(a.cap.to_bits(), bb.cap.to_bits());
             assert_eq!(a.q.to_bits(), bb.q.to_bits());
             assert_eq!(a.count, bb.count);
+        }
+    }
+
+    /// A pruned frontier of `counts` buffer counts in both parities, `per`
+    /// rows per class: cap and q step irregularly, each count's q sits
+    /// above every lower count's (so the prune keeps all of it), and the
+    /// noise fields vary row to row so the conditioned witnesses differ
+    /// from the plain ones.
+    fn class_staircases(counts: usize, per: usize, phase: usize) -> Vec<DpCand> {
+        let mut out = Vec::new();
+        for parity in [false, true] {
+            for count in 0..counts {
+                let (mut cap, mut q) = (1e-14, -1e-9 + count as f64 * 6e-11);
+                for i in 0..per {
+                    let k = i + phase + 3 * count + usize::from(parity);
+                    cap += (1 + (3 * k) % 7) as f64 * 2e-15;
+                    q += (1 + (5 * k) % 11) as f64 * 1e-13;
+                    out.push(DpCand {
+                        cap,
+                        q,
+                        cur: (1 + (7 * k) % 3) as f64 * 1e-5,
+                        ns: 0.3 + 0.1 * ((11 * k) % 4) as f64,
+                        count,
+                        cost: count as f64,
+                        parity,
+                        prov: NONE,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Gives every operand row its own one-insertion provenance, so the
+    /// resolved insertions of merged rows and spawns are checked, not
+    /// just their electrical fields. Both pipelines stamp fresh arenas in
+    /// the same order, so the operand indices agree.
+    fn stamp_provenance(arena: &mut ProvArena<(NodeId, BufferId)>, lists: [&mut [DpCand]; 2]) {
+        let mut k = 0;
+        for list in lists {
+            for c in list.iter_mut() {
+                c.prov = arena.elem((NodeId::from_index(k), BufferId::from_index(k % 3)), NONE);
+                k += 1;
+            }
+        }
+    }
+
+    /// Every field of a candidate with its provenance resolved into a
+    /// sorted insertion list (arena indices differ between pipelines).
+    fn resolved(
+        c: &DpCand,
+        arena: &mut ProvArena<(NodeId, BufferId)>,
+    ) -> impl PartialEq + std::fmt::Debug {
+        let mut ins: Vec<(usize, usize)> = arena
+            .resolve(c.prov)
+            .into_iter()
+            .map(|(n, b)| (n.index(), b.index()))
+            .collect();
+        ins.sort_unstable();
+        let mut bits = cand_bits(c);
+        bits.7 = 0;
+        (bits, ins)
+    }
+
+    /// The fused merge on operands large enough for several mid-merge
+    /// compactions, so the emission-time filter runs against indexed
+    /// survivors: its pruned rows, its buffered spawns and the node's
+    /// final prune are bitwise those of the materialized pipeline
+    /// (`merge_materialized` + `insert_buffers_plain` + `prune`),
+    /// insertions included, with and without noise, polarity and a
+    /// buffer cap — and the filter did drop rows.
+    #[test]
+    fn fused_merge_filter_matches_materialized_across_compactions() {
+        let lib = catalog::ibm_like();
+        let v = NodeId::from_index(1000);
+        let budget = RunBudget::default().armed();
+        let wire = Wire::from_rc(120.0, 2e-14, 1.0);
+        let modes = [
+            DpConfig::default(),
+            DpConfig {
+                noise: false,
+                ..DpConfig::default()
+            },
+            DpConfig {
+                polarity: true,
+                ..DpConfig::default()
+            },
+            DpConfig {
+                max_buffers: Some(4),
+                ..DpConfig::default()
+            },
+        ];
+        for cfg in modes {
+            let mut left = class_staircases(4, 50, 0);
+            let mut right = class_staircases(4, 50, 4);
+            let mut s0 = DpScratch::default();
+            s0.reset(2, lib.len());
+            let (nl, nr) = (left.len(), right.len());
+            prune(&mut left, &cfg, &mut s0, 0);
+            prune(&mut right, &cfg, &mut s0, 0);
+            assert_eq!(
+                (left.len(), right.len()),
+                (nl, nr),
+                "fixture rows must survive the prune"
+            );
+            climb_in_place(&mut left, &wire, 1e-5, &cfg).expect("left survives");
+            climb_in_place(&mut right, &wire, 1e-5, &cfg).expect("right survives");
+
+            let mut s1 = DpScratch::default();
+            s1.reset(2, lib.len());
+            stamp_provenance(&mut s1.arena, [&mut left, &mut right]);
+            let mut stats1 = DpStats::default();
+            let (mut fused, head) = merge_fused(
+                v,
+                &left,
+                &right,
+                &lib,
+                &cfg,
+                true,
+                &budget,
+                &mut s1,
+                &mut stats1,
+            )
+            .expect("operands are non-empty");
+            let work = s1.work;
+            assert!(work.merge_compactions >= 2, "{cfg:?}: only {work:?}");
+            assert!(
+                work.merge_rows_dropped > 0,
+                "{cfg:?}: the filter dropped nothing"
+            );
+
+            let mut s2 = DpScratch::default();
+            s2.reset(2, lib.len());
+            stamp_provenance(&mut s2.arena, [&mut left, &mut right]);
+            let mut stats2 = DpStats::default();
+            let mut m = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats2)
+                .expect("operands are non-empty");
+            let product = m.len();
+            insert_buffers_plain(v, &mut m, &lib, &cfg, &mut s2);
+            let mut pruned_product = m[..product].to_vec();
+            prune(&mut pruned_product, &cfg, &mut s2, 0);
+
+            let (a1, a2) = (&mut s1.arena, &mut s2.arena);
+            let got: Vec<_> = fused[..head].iter().map(|c| resolved(c, a1)).collect();
+            let expect: Vec<_> = pruned_product.iter().map(|c| resolved(c, a2)).collect();
+            assert_eq!(got, expect, "{cfg:?}: pruned product rows");
+            let got: Vec<_> = fused[head..].iter().map(|c| resolved(c, a1)).collect();
+            let expect: Vec<_> = m[product..].iter().map(|c| resolved(c, a2)).collect();
+            assert!(!got.is_empty(), "{cfg:?}: no buffered spawns");
+            assert_eq!(got, expect, "{cfg:?}: buffered spawns");
+
+            prune(&mut fused, &cfg, &mut s1, head);
+            prune(&mut m, &cfg, &mut s2, 0);
+            let (a1, a2) = (&mut s1.arena, &mut s2.arena);
+            let got: Vec<_> = fused.iter().map(|c| resolved(c, a1)).collect();
+            let expect: Vec<_> = m.iter().map(|c| resolved(c, a2)).collect();
+            assert_eq!(got, expect, "{cfg:?}: node prune");
+            assert_eq!(
+                stats1.merge_products_enumerated + stats1.merge_products_pruned,
+                nl * nr
+            );
         }
     }
 

@@ -78,4 +78,4 @@ pub use buffopt_analysis::{CancelReason, CancelToken};
 pub use buffopt_memo::{MemoStats, MemoTable};
 pub use delayopt::Solution;
 pub use error::{BudgetResource, CoreError};
-pub use workspace::DpWorkspace;
+pub use workspace::{DpWork, DpWorkspace};

@@ -32,6 +32,22 @@ pub struct DpWorkspace {
     pub(crate) analysis: AnalysisWorkspace,
 }
 
+/// Exact work counters of the workspace's last DP run, reset when a run
+/// starts. They count rows, not time, so they are the same on every host
+/// and a bench can gate on them without noise. They are telemetry only:
+/// no solution, record or stats response carries them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DpWork {
+    /// Rows fed to the fused merge's dominance sweeps: every mid-merge
+    /// compaction plus the final prune of each merge.
+    pub merge_rows_swept: u64,
+    /// Merge rows dropped at emission because a survivor of an earlier
+    /// compaction in their own class already dominated them.
+    pub merge_rows_dropped: u64,
+    /// Mid-merge compactions run by the fused merge.
+    pub merge_compactions: u64,
+}
+
 impl DpWorkspace {
     /// Creates an empty workspace. Capacity grows to the largest net it
     /// has processed and is retained across runs.
@@ -43,5 +59,10 @@ impl DpWorkspace {
     /// against the same workspace the optimizers use.
     pub fn analysis(&mut self) -> &mut AnalysisWorkspace {
         &mut self.analysis
+    }
+
+    /// Work counters of the last DP run on this workspace.
+    pub fn work(&self) -> DpWork {
+        self.dp.work
     }
 }

@@ -3,8 +3,10 @@
 #
 # * BENCH_dp.json — per net size, median wall time for the arena engine
 #   vs the seed engine, candidate-pressure stats, and (with allocation
-#   counting compiled in) allocator traffic per run, plus the greedy
-#   optimizer's incremental-vs-full-resweep "analysis" section;
+#   counting compiled in) allocator traffic per run, the exact merge
+#   work counters (rows swept, rows dropped at emission, compactions),
+#   plus the greedy optimizer's incremental-vs-full-resweep "analysis"
+#   section;
 # * BENCH_memo.json — cold vs memo-warm family passes over the perturbed
 #   net workload: median pass times, steady-state subtree hit rate, and
 #   the memo-table counters. The memo snapshot exits nonzero if the warm
@@ -21,8 +23,10 @@
 #                     come from the stock allocator (marginally faster)
 #   --gate            fail if the fresh DP snapshot's arena/reference
 #                     median ratios drift more than 2% from the committed
-#                     BENCH_dp.json (the committed file is copied aside
-#                     first, so the fresh snapshot still lands in place)
+#                     BENCH_dp.json, or if any size's exact
+#                     merge_rows_swept counter rises above the committed
+#                     row (the committed file is copied aside first, so
+#                     the fresh snapshot still lands in place)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
