@@ -31,14 +31,18 @@
 //!
 //! Every row also records the arena engine's exact work counters
 //! ([`buffopt::DpWork`]): rows fed to the fused merge's dominance sweeps,
-//! rows its emission filter dropped, and mid-merge compactions. They
-//! count rows, not time, so the gate checks `merge_rows_swept` exactly
-//! and one-sided: any rise above the baseline row fails, with no
+//! rows its emission filter dropped, mid-merge compactions, and rows any
+//! dominance sweep handed to a comparison sort. They count rows, not
+//! time, so the gate checks `merge_rows_swept` and `prune_rows_sorted`
+//! exactly and one-sided: any rise above the baseline row fails, with no
 //! tolerance, and a fall passes.
+//!
+//! Every engine's stats come from its last timed sample, so no size runs
+//! an engine outside the measurement except `measure`'s one warm-up.
 
 use std::time::Instant;
 
-use buffopt::dp_reference::{run_arena, run_reference, EngineConfig};
+use buffopt::dp_reference::{run_arena, run_reference, EngineConfig, EngineStats};
 use buffopt::iterative::{self, IterativeOptions};
 use buffopt::{DpWork, DpWorkspace, RunBudget};
 use buffopt_buffers::catalog;
@@ -144,13 +148,61 @@ fn measure(samples: usize, mut f: impl FnMut()) -> Measured {
     }
 }
 
+/// Times the arena engine (noise mode, full library) on `tree`, and
+/// returns its stats and work counters from the last timed sample.
+fn measure_arena(
+    samples: usize,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    ws: &mut DpWorkspace,
+) -> (Measured, (EngineStats, DpWork)) {
+    let (lib, cfg, budget) = (
+        catalog::ibm_like(),
+        EngineConfig::default(),
+        RunBudget::default(),
+    );
+    let mut last = None;
+    let m = measure(samples, || {
+        let (_, stats) = run_arena(tree, Some(scenario), &lib, &cfg, &budget, ws).expect("solves");
+        last = Some((stats, ws.work()));
+    });
+    (m, last.expect("measure runs at least once"))
+}
+
+/// Times the seed engine (noise mode, full library) on `tree`, and
+/// returns its stats from the last timed sample.
+fn measure_reference(
+    samples: usize,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+) -> (Measured, EngineStats) {
+    let (lib, cfg, budget) = (
+        catalog::ibm_like(),
+        EngineConfig::default(),
+        RunBudget::default(),
+    );
+    let mut last = None;
+    let m = measure(samples, || {
+        last = Some(
+            run_reference(tree, Some(scenario), &lib, &cfg, &budget)
+                .expect("solves")
+                .1,
+        );
+    });
+    (m, last.expect("measure runs at least once"))
+}
+
 /// The work-counter fields of a size row (leading comma included).
 fn json_work(w: &DpWork) -> String {
     format!(
-        ",\"merge_rows_swept\":{},\"merge_rows_dropped\":{},\"merge_compactions\":{}",
-        w.merge_rows_swept, w.merge_rows_dropped, w.merge_compactions
+        ",\"merge_rows_swept\":{},\"merge_rows_dropped\":{},\"merge_compactions\":{},\
+         \"prune_rows_sorted\":{}",
+        w.merge_rows_swept, w.merge_rows_dropped, w.merge_compactions, w.prune_rows_sorted
     )
 }
+
+/// The work counters the gate holds exactly: a size fails if one rises.
+const GATED_COUNTERS: [&str; 2] = ["merge_rows_swept", "prune_rows_sorted"];
 
 fn json_engine(m: &Measured) -> String {
     format!(
@@ -173,8 +225,9 @@ struct SizeRow {
     arena: (u64, u64),
     /// Seed engine `(median_ns, min_ns)`.
     reference: (u64, u64),
-    /// Exact work counter; `None` in snapshots that predate it.
-    rows_swept: Option<u64>,
+    /// The [`GATED_COUNTERS`], in order; `None` in snapshots that
+    /// predate a counter.
+    counters: [Option<u64>; GATED_COUNTERS.len()],
 }
 
 /// Per size row of a snapshot's `sizes` and `scaling` sections.
@@ -201,7 +254,7 @@ fn size_rows(json: &str) -> Vec<SizeRow> {
                 sinks,
                 arena: (arena, arena_min),
                 reference: (reference, ref_min),
-                rows_swept: number_after(row, "\"merge_rows_swept\":"),
+                counters: GATED_COUNTERS.map(|c| number_after(row, &format!("\"{c}\":"))),
             });
         }
     }
@@ -209,9 +262,9 @@ fn size_rows(json: &str) -> Vec<SizeRow> {
 }
 
 /// Compares the fresh snapshot against `baseline`, size by size. A size
-/// fails if its `merge_rows_swept` rose above the baseline's at all, or
-/// is missing where the baseline has it (a baseline without it is gated
-/// on timing alone), or if both its arena/reference median ratio
+/// fails if one of its [`GATED_COUNTERS`] rose above the baseline's at
+/// all, or is missing where the baseline has it (a baseline without a
+/// counter is not gated on it), or if both its arena/reference median ratio
 /// *and* its min-time ratio drifted beyond `tolerance_pct` — the min is
 /// far less sampling-noisy than a 5-sample median, so a genuine slowdown
 /// (which moves both) still trips while scheduler jitter on one sample
@@ -231,23 +284,21 @@ fn gate_against(baseline: &str, fresh: &str, tolerance_pct: f64) -> Result<(), S
             eprintln!("gate: sinks {sinks:>2}: no baseline row, skipped");
             continue;
         };
-        // Only a baseline that predates the counter skips this gate; a
+        // Only a baseline that predates a counter skips its gate; a
         // fresh row that lost it is a writer fault, not a pass.
-        match (row.rows_swept, b.rows_swept) {
-            (Some(swept), Some(b_swept)) => {
-                eprintln!("gate: sinks {sinks:>2}: merge rows swept {swept} (baseline {b_swept})");
-                if swept > b_swept {
-                    return Err(format!(
-                        "{sinks}-sink merge rows swept rose from {b_swept} to {swept}"
-                    ));
+        for (k, name) in GATED_COUNTERS.iter().enumerate() {
+            match (row.counters[k], b.counters[k]) {
+                (Some(n), Some(base_n)) => {
+                    eprintln!("gate: sinks {sinks:>2}: {name} {n} (baseline {base_n})");
+                    if n > base_n {
+                        return Err(format!("{sinks}-sink {name} rose from {base_n} to {n}"));
+                    }
                 }
+                (None, Some(_)) => {
+                    return Err(format!("{sinks}-sink fresh snapshot lacks {name}"));
+                }
+                (_, None) => {}
             }
-            (None, Some(_)) => {
-                return Err(format!(
-                    "{sinks}-sink fresh snapshot lacks merge_rows_swept"
-                ));
-            }
-            (_, None) => {}
         }
         let drift = |n: u64, d: u64, bn: u64, bd: u64| {
             let base_ratio = bn as f64 / bd.max(1) as f64;
@@ -290,8 +341,6 @@ fn main() {
     let samples = if quick { 5 } else { 31 };
 
     let lib = catalog::ibm_like();
-    let cfg = EngineConfig::default();
-    let budget = RunBudget::default();
     let mut ws = DpWorkspace::new();
 
     let mut rows: Vec<String> = Vec::new();
@@ -300,17 +349,8 @@ fn main() {
         let tree = comb_net(sinks);
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
 
-        let (_, stats) = run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws)
-            .expect("comb net solves");
-        let work = ws.work();
-        let arena = measure(samples, || {
-            run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws).expect("solves");
-        });
-        let (_, ref_stats) =
-            run_reference(&tree, Some(&scenario), &lib, &cfg, &budget).expect("comb net solves");
-        let reference = measure(samples, || {
-            run_reference(&tree, Some(&scenario), &lib, &cfg, &budget).expect("solves");
-        });
+        let (arena, (stats, work)) = measure_arena(samples, &tree, &scenario, &mut ws);
+        let (reference, ref_stats) = measure_reference(samples, &tree, &scenario);
 
         let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
         eprintln!(
@@ -391,17 +431,8 @@ fn main() {
             ..ScalingConfig::default()
         });
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
-        let (_, stats) = run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws)
-            .expect("scaling net solves");
-        let work = ws.work();
-        let arena = measure(scaling_samples, || {
-            run_arena(&tree, Some(&scenario), &lib, &cfg, &budget, &mut ws).expect("solves");
-        });
-        let (_, ref_stats) =
-            run_reference(&tree, Some(&scenario), &lib, &cfg, &budget).expect("scaling net solves");
-        let reference = measure(scaling_samples, || {
-            run_reference(&tree, Some(&scenario), &lib, &cfg, &budget).expect("solves");
-        });
+        let (arena, (stats, work)) = measure_arena(scaling_samples, &tree, &scenario, &mut ws);
+        let (reference, ref_stats) = measure_reference(scaling_samples, &tree, &scenario);
         let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
         eprintln!(
             "scaling {sinks:>3}: arena {:>10} ns, reference {:>10} ns ({speedup:.2}x), \
@@ -472,27 +503,52 @@ fn main() {
 mod tests {
     use super::gate_against;
 
-    fn snapshot(swept: Option<u64>, arena_ns: u64) -> String {
-        let work = swept.map_or(String::new(), |w| format!(",\"merge_rows_swept\":{w}"));
+    /// A one-row snapshot with the given exact counters.
+    fn snapshot(swept: Option<u64>, sorted: Option<u64>, arena_ns: u64) -> String {
+        let field =
+            |name: &str, v: Option<u64>| v.map_or(String::new(), |v| format!(",\"{name}\":{v}"));
         format!(
             "{{\"sizes\":[{{\"sinks\":64,\"arena\":{{\"median_ns\":{arena_ns},\"min_ns\":{arena_ns}}},\
-             \"reference\":{{\"median_ns\":1000,\"min_ns\":1000}}{work}}}],\"analysis\":[]}}"
+             \"reference\":{{\"median_ns\":1000,\"min_ns\":1000}}{}{}}}],\"analysis\":[]}}",
+            field("merge_rows_swept", swept),
+            field("prune_rows_sorted", sorted),
         )
     }
 
     #[test]
-    fn rows_swept_gate_is_exact_and_one_sided() {
-        let base = snapshot(Some(500), 100);
-        assert!(gate_against(&base, &snapshot(Some(500), 100), 2.0).is_ok());
-        assert!(gate_against(&base, &snapshot(Some(499), 100), 2.0).is_ok());
-        let err = gate_against(&base, &snapshot(Some(501), 100), 2.0).unwrap_err();
-        assert!(err.contains("rows swept rose from 500 to 501"), "{err}");
-        // A baseline that predates the counter gates on timing alone.
-        assert!(gate_against(&snapshot(None, 100), &snapshot(Some(501), 100), 2.0).is_ok());
-        // A fresh snapshot that dropped the counter fails against one that has it.
-        let err = gate_against(&base, &snapshot(None, 100), 2.0).unwrap_err();
+    fn counter_gates_are_exact_and_one_sided() {
+        let base = snapshot(Some(500), Some(70), 100);
+        assert!(gate_against(&base, &snapshot(Some(500), Some(70), 100), 2.0).is_ok());
+        assert!(gate_against(&base, &snapshot(Some(499), Some(69), 100), 2.0).is_ok());
+        let err = gate_against(&base, &snapshot(Some(501), Some(70), 100), 2.0).unwrap_err();
+        assert!(
+            err.contains("merge_rows_swept rose from 500 to 501"),
+            "{err}"
+        );
+        let err = gate_against(&base, &snapshot(Some(500), Some(71), 100), 2.0).unwrap_err();
+        assert!(
+            err.contains("prune_rows_sorted rose from 70 to 71"),
+            "{err}"
+        );
+        // A baseline that predates a counter is not gated on it.
+        assert!(gate_against(
+            &snapshot(None, None, 100),
+            &snapshot(Some(501), Some(71), 100),
+            2.0
+        )
+        .is_ok());
+        assert!(gate_against(
+            &snapshot(Some(500), None, 100),
+            &snapshot(Some(500), Some(71), 100),
+            2.0
+        )
+        .is_ok());
+        // A fresh snapshot that dropped a counter fails against one that has it.
+        let err = gate_against(&base, &snapshot(None, Some(70), 100), 2.0).unwrap_err();
         assert!(err.contains("lacks merge_rows_swept"), "{err}");
-        // The timing ratio gate is unchanged beside it.
-        assert!(gate_against(&base, &snapshot(Some(500), 110), 2.0).is_err());
+        let err = gate_against(&base, &snapshot(Some(500), None, 100), 2.0).unwrap_err();
+        assert!(err.contains("lacks prune_rows_sorted"), "{err}");
+        // The timing ratio gate is unchanged beside them.
+        assert!(gate_against(&base, &snapshot(Some(500), Some(70), 110), 2.0).is_err());
     }
 }

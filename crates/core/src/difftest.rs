@@ -160,16 +160,59 @@ fn modes() -> Vec<(&'static str, EngineConfig)> {
     ]
 }
 
-fn check_all_modes(tree: &RoutingTree, scenario: &NoiseScenario, ws: &mut DpWorkspace, tag: &str) {
-    let lib = catalog::ibm_like();
+fn check_all_modes(
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    lib: &BufferLibrary,
+    ws: &mut DpWorkspace,
+    tag: &str,
+) {
     for (mode, cfg) in modes() {
         let s = if cfg.noise { Some(scenario) } else { None };
-        assert_equiv(tree, s, &lib, &cfg, ws, &format!("{tag}/{mode}"));
+        assert_equiv(tree, s, lib, &cfg, ws, &format!("{tag}/{mode}"));
     }
 }
 
 #[test]
 fn corpus_nets_all_modes() {
+    check_corpus(&catalog::ibm_like());
+}
+
+/// The full library plus three buffers whose input capacitance equals a
+/// member's: an exact twin of `buf_x4` (spawns tied on cap and q), a
+/// faster `inv_x2` (tied on cap, better slack, higher index) and a
+/// non-inverting buffer at `inv_x2`'s cap (tied on cap from the other
+/// source class). The arena engine emits buffered spawns class by class
+/// in cap order and fixes up equal-cap runs by q; these ties make that
+/// fix-up run against the seed engine's full stable sort.
+fn tied_cap_library() -> BufferLibrary {
+    let mut lib = catalog::ibm_like();
+    let find = |lib: &BufferLibrary, name: &str| {
+        lib.iter()
+            .find(|b| b.name == name)
+            .cloned()
+            .expect("ibm_like member")
+    };
+    let mut twin = find(&lib, "buf_x4");
+    twin.name = "buf_x4_twin".into();
+    let inv = find(&lib, "inv_x2");
+    let mut fast = inv.clone();
+    fast.name = "inv_x2_fast".into();
+    fast.resistance *= 0.5;
+    fast.intrinsic_delay *= 1.5;
+    let mut same_cap = find(&lib, "buf_x2");
+    same_cap.name = "buf_at_inv_x2_cap".into();
+    same_cap.input_capacitance = inv.input_capacitance;
+    lib.extend([twin, fast, same_cap]);
+    lib
+}
+
+#[test]
+fn corpus_nets_tied_cap_library() {
+    check_corpus(&tied_cap_library());
+}
+
+fn check_corpus(lib: &BufferLibrary) {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data");
     let mut ws = DpWorkspace::new();
     let mut seen = 0usize;
@@ -186,7 +229,7 @@ fn corpus_nets_all_modes() {
             let seg = segment::segment_wires(&net.tree, seg_len).expect("segment");
             let scenario = net.scenario.for_segmented(&seg);
             let tag = format!("{}@{seg_len}", path.file_name().unwrap().to_string_lossy());
-            check_all_modes(&seg.tree, &scenario, &mut ws, &tag);
+            check_all_modes(&seg.tree, &scenario, lib, &mut ws, &tag);
         }
         seen += 1;
     }
@@ -252,7 +295,7 @@ proptest! {
         if let Some(tree) = build_random_tree(&steps) {
             let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
             let mut ws = DpWorkspace::new();
-            check_all_modes(&tree, &scenario, &mut ws, "random");
+            check_all_modes(&tree, &scenario, &catalog::ibm_like(), &mut ws, "random");
         }
     }
 }
@@ -274,7 +317,7 @@ proptest! {
         if let Some(tree) = build_random_tree(&steps) {
             let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
             let mut ws = DpWorkspace::new();
-            check_all_modes(&tree, &scenario, &mut ws, "random-large");
+            check_all_modes(&tree, &scenario, &catalog::ibm_like(), &mut ws, "random-large");
         }
     }
 }

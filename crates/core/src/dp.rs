@@ -36,9 +36,14 @@
 //!   a row that a survivor of an earlier compaction already dominates in
 //!   its own class is not pushed at all (DESIGN §15);
 //! * **run-merging prune** — callers tell the dominance sweep how long a
-//!   prefix they already hold in sweep order, so only the unsorted tail
-//!   is sorted and merged in, and the lower-count frontier is a staircase
-//!   read by a forward cursor and extended by one linear merge per class;
+//!   prefix they already hold in sweep order; the sweep checks both runs
+//!   in linear time, comparison-sorts only one that is out of order and
+//!   merges the two, and the lower-count frontier is a staircase read by
+//!   a forward cursor and extended by one linear merge per class;
+//! * **sweep-ordered spawns** — buffer bids go into one class-major best
+//!   table, each candidate bidding into its class's row of per-buffer
+//!   slots, and the spawns come out class by class in input-capacitance
+//!   order, so the node prune finds them already sorted (DESIGN §15);
 //! * **scratch reuse** — every list, frontier, and best-per-class table
 //!   lives in a [`DpScratch`] reused across nodes and (via
 //!   [`crate::workspace::DpWorkspace`]) across nets.
@@ -157,12 +162,14 @@ pub(crate) struct SourceCand {
     pub insertions: Vec<(NodeId, BufferId)>,
 }
 
-/// Best already-seen candidate for one (buffer, count/parity class) slot
+/// Best already-seen candidate for one (count/parity class, buffer) slot
 /// during buffer insertion; the spawn is deferred so dominated rows pay
 /// nothing.
 #[derive(Debug, Clone, Copy)]
 struct BestBuf {
     q_new: f64,
+    /// The winning candidate; [`emit_spawns`] replaces it with its spawn
+    /// once the spawn's provenance is allocated.
     cand: DpCand,
     /// Deferred provenance: the spawn's predecessor is `join(left, right)`
     /// (for plain candidates `left = cand.prov`, `right = NONE`).
@@ -220,10 +227,11 @@ pub(crate) struct DpScratch {
     head_cands: Vec<DpCand>,
     /// Sweep prune: out-of-place copy of a presorted merge-row run.
     head_rows: Vec<MergeRow>,
-    /// Per-buffer best-per-class tables.
-    best: Vec<Vec<Option<BestBuf>>>,
-    /// Freshly buffered candidates (plain insertion path).
-    fresh: Vec<DpCand>,
+    /// Best-buffer bids, class-major: slot `class·nbuf + bi` holds the
+    /// best candidate of class `2·count + parity` for buffer `bi`.
+    best: Vec<Option<BestBuf>>,
+    /// The run's library in spawn order (see [`SpawnOrder`]).
+    spawn_order: Vec<SpawnOrder>,
     /// Pairwise prune: candidate indices in presorted order.
     order: Vec<u32>,
     /// Pairwise prune: surviving candidate indices.
@@ -245,10 +253,10 @@ pub(crate) struct DpScratch {
 }
 
 impl DpScratch {
-    /// Prepares the scratch for a run over `nodes` tree nodes and `nbuf`
-    /// buffer types. Clears everything (so a panic mid-run cannot poison
+    /// Prepares the scratch for a run over `nodes` tree nodes with buffer
+    /// library `lib`. Clears everything (so a panic mid-run cannot poison
     /// the next one) while keeping the backing allocations.
-    fn reset(&mut self, nodes: usize, nbuf: usize) {
+    fn reset(&mut self, nodes: usize, lib: &BufferLibrary) {
         self.arena.clear();
         for l in &mut self.lists {
             l.clear();
@@ -256,18 +264,13 @@ impl DpScratch {
         if self.lists.len() < nodes {
             self.lists.resize_with(nodes, Vec::new);
         }
-        for t in &mut self.best {
-            t.clear();
-        }
-        if self.best.len() < nbuf {
-            self.best.resize_with(nbuf, Vec::new);
-        }
+        self.best.clear();
+        SpawnOrder::fill(&mut self.spawn_order, lib);
         self.rows.clear();
         self.survivor_index.clear();
         self.frontier.clear();
         self.head_cands.clear();
         self.head_rows.clear();
-        self.fresh.clear();
         self.order.clear();
         self.keep.clear();
         self.wit_l.clear();
@@ -338,12 +341,12 @@ fn prune(cands: &mut Vec<DpCand>, cfg: &DpConfig, scratch: &mut DpScratch, sorte
     if cfg.conservative || cfg.cost_aware {
         prune_pairwise(cands, cfg, &mut scratch.order, &mut scratch.keep);
     } else {
-        sweep_prune(
+        scratch.work.prune_rows_sorted += sweep_prune(
             cands,
             sorted_prefix,
             &mut scratch.head_cands,
             &mut scratch.frontier,
-        );
+        ) as u64;
     }
 }
 
@@ -358,27 +361,34 @@ fn sweep_order(a: &DpCand, b: &DpCand) -> Ordering {
 }
 
 /// Stable-sorts `items` into sweep order when `items[..sorted_prefix]`
-/// is (claimed to be) in that order already: only the tail is sorted,
-/// then the two runs are merged, prefix first on ties — exactly the
-/// stable sort of the whole list. The claim is checked in linear time
-/// and the prefix sorted when it fails (a wire climb can round two
-/// ascending caps into a tie whose q order then reads backwards).
-/// `head` is reusable scratch for the out-of-place part of the merge.
-fn sort_sweep_order<R: Row>(items: &mut [R], sorted_prefix: usize, head: &mut Vec<R>) {
+/// is (claimed to be) in that order already: the prefix and the tail are
+/// each checked in linear time and comparison-sorted only when out of
+/// order, then the two runs are merged, prefix first on ties — exactly
+/// the stable sort of the whole list. The prefix claim can fail (a wire
+/// climb can round two ascending caps into a tie whose q order then
+/// reads backwards); a tail of buffered spawns arrives sorted
+/// ([`emit_spawns`]). `head` is reusable scratch for the out-of-place
+/// part of the merge. Returns how many rows went to a comparison sort.
+fn sort_sweep_order<R: Row>(items: &mut [R], sorted_prefix: usize, head: &mut Vec<R>) -> usize {
     let by_key = |a: &R, b: &R| sweep_order(a.cand(), b.cand());
+    let mut sorted = 0;
+    let mut sort_run = |run: &mut [R]| {
+        if !run.is_sorted_by(|a, b| by_key(a, b) != Ordering::Greater) {
+            run.sort_by(by_key);
+            sorted += run.len();
+        }
+    };
     let split = sorted_prefix.min(items.len());
     let (prefix, tail) = items.split_at_mut(split);
-    if !prefix.is_sorted_by(|a, b| by_key(a, b) != Ordering::Greater) {
-        prefix.sort_by(by_key);
-    }
-    tail.sort_by(by_key);
+    sort_run(prefix);
+    sort_run(tail);
     let Some(first_tail) = tail.first() else {
-        return;
+        return sorted;
     };
     // Prefix rows ordered before the whole tail are already in place.
     let mut w = prefix.partition_point(|x| by_key(x, first_tail) != Ordering::Greater);
     if w == split {
-        return;
+        return sorted;
     }
     head.clear();
     head.extend_from_slice(&prefix[w..]);
@@ -396,23 +406,25 @@ fn sort_sweep_order<R: Row>(items: &mut [R], sorted_prefix: usize, head: &mut Ve
         w += 1;
     }
     items[w..w + head.len() - i].copy_from_slice(&head[i..]);
+    sorted
 }
 
 /// Paper pruning as an in-place sweep over the sweep order (see
 /// [`sort_sweep_order`] for `sorted_prefix`), carrying the cumulative
 /// lower-count frontier per parity. A candidate survives its class iff
 /// its q strictly exceeds everything cheaper in-class and beats the best
-/// q of lower counts at cap ≤ its own.
+/// q of lower counts at cap ≤ its own. Returns how many rows went to a
+/// comparison sort.
 fn sweep_prune<R: Row>(
     items: &mut Vec<R>,
     sorted_prefix: usize,
     head: &mut Vec<R>,
     frontier: &mut Staircase,
-) {
+) -> usize {
     if items.len() <= 1 {
-        return;
+        return 0;
     }
-    sort_sweep_order(items, sorted_prefix, head);
+    let sorted = sort_sweep_order(items, sorted_prefix, head);
     frontier.clear();
     let n = items.len();
     let mut i = 0;
@@ -450,6 +462,7 @@ fn sweep_prune<R: Row>(
         }
     }
     items.truncate(write);
+    sorted
 }
 
 /// The sweep's lower-count dominance frontier: `(cap, q)` steps with cap
@@ -656,10 +669,12 @@ fn buffered_candidate(
 /// Buffer-insertion step at a feasible node (paper Step 5 with the
 /// boldface noise guard): for every buffer type and every count class,
 /// the candidate producing the largest post-buffer slack — such that the
-/// buffer can legally drive the subtree — spawns a new candidate. With
-/// cost tracking, different downstream costs are incomparable, so every
-/// feasible candidate spawns one (pairwise pruning collapses the list
-/// afterwards).
+/// buffer can legally drive the subtree — spawns a new candidate. The
+/// bids go class-major in one pass over the candidates ([`bid`]), and
+/// the spawns are appended by [`emit_spawns`]. With cost tracking,
+/// different downstream costs are incomparable, so every feasible
+/// candidate spawns one, buffer-major (pairwise pruning collapses the
+/// list afterwards).
 fn insert_buffers_plain(
     v: NodeId,
     cands: &mut Vec<DpCand>,
@@ -668,48 +683,170 @@ fn insert_buffers_plain(
     scratch: &mut DpScratch,
 ) {
     let DpScratch {
-        arena, best, fresh, ..
+        arena,
+        best,
+        spawn_order,
+        ..
     } = scratch;
-    fresh.clear();
-    for (bi, (bid, buf)) in lib.entries().enumerate() {
-        let table = &mut best[bi];
-        table.clear();
-        for c in cands.iter() {
-            if let Some(max) = cfg.max_buffers {
-                if c.count + 1 > max {
+    let n = cands.len();
+    if cfg.cost_aware {
+        for (bid, buf) in lib.entries() {
+            for i in 0..n {
+                let c = cands[i];
+                if cfg.max_buffers.is_some_and(|max| c.count + 1 > max)
+                    || cfg.noise && buf.resistance * c.cur > c.ns + NOISE_TOL
+                {
                     continue;
                 }
-            }
-            if cfg.noise && buf.resistance * c.cur > c.ns + NOISE_TOL {
-                continue; // the buffer would violate downstream noise
-            }
-            let q_new = c.q - buf.delay(c.cap);
-            if cfg.cost_aware {
-                fresh.push(buffered_candidate(v, c, bid, buf, q_new, c.prov, arena));
-                continue;
-            }
-            let class = 2 * c.count + usize::from(c.parity);
-            if table.len() <= class {
-                table.resize(class + 1, None);
-            }
-            let slot = &mut table[class];
-            if slot.is_none_or(|s| q_new > s.q_new) {
-                *slot = Some(BestBuf {
-                    q_new,
-                    cand: *c,
-                    left: c.prov,
-                    right: NONE,
-                });
+                let q_new = c.q - buf.delay(c.cap);
+                cands.push(buffered_candidate(v, &c, bid, buf, q_new, c.prov, arena));
             }
         }
-        for slot in table.iter().flatten() {
-            let pred = arena.join(slot.left, slot.right);
-            fresh.push(buffered_candidate(
-                v, &slot.cand, bid, buf, slot.q_new, pred, arena,
-            ));
+        return;
+    }
+    best.clear();
+    for c in cands.iter() {
+        bid(c, c.prov, NONE, lib, cfg, best);
+    }
+    // The pairwise prune keeps survivors in generation order, so there
+    // the spawns keep their buffer-major order.
+    emit_spawns(v, lib, best, spawn_order, arena, cands, !cfg.conservative);
+}
+
+/// Offers `c`, whose partial solution is `join(left, right)`, to every
+/// buffer's slot of its class in the class-major best table: a buffer
+/// that can legally drive `c` takes it on a strict slack improvement, so
+/// exact ties go to the earliest bidder.
+#[inline]
+fn bid(
+    c: &DpCand,
+    left: u32,
+    right: u32,
+    lib: &BufferLibrary,
+    cfg: &DpConfig,
+    best: &mut Vec<Option<BestBuf>>,
+) {
+    if cfg.max_buffers.is_some_and(|max| c.count + 1 > max) {
+        return;
+    }
+    let nbuf = lib.len();
+    let row = (2 * c.count + usize::from(c.parity)) * nbuf;
+    if best.len() < row + nbuf {
+        best.resize(row + nbuf, None);
+    }
+    for ((_, buf), slot) in lib.entries().zip(&mut best[row..row + nbuf]) {
+        if cfg.noise && buf.resistance * c.cur > c.ns + NOISE_TOL {
+            continue; // the buffer would violate downstream noise
+        }
+        let q_new = c.q - buf.delay(c.cap);
+        if slot.is_none_or(|s| q_new > s.q_new) {
+            *slot = Some(BestBuf {
+                q_new,
+                cand: *c,
+                left,
+                right,
+            });
         }
     }
-    cands.append(fresh);
+}
+
+/// One library entry in spawn order: the library sorted stably by input
+/// capacitance, so the spawns of one target class — at most one per
+/// buffer, each with its buffer's input capacitance as cap — come out
+/// cap-ascending when visited in this order.
+#[derive(Debug, Clone, Copy)]
+struct SpawnOrder {
+    /// Library index of the buffer.
+    bi: usize,
+    inverting: bool,
+    /// Same input capacitance as the previous entry: the two spawns tie
+    /// on cap and need the q-descending fix-up.
+    tied: bool,
+}
+
+impl SpawnOrder {
+    /// Rebuilds the spawn order of `lib` into `out`.
+    fn fill(out: &mut Vec<SpawnOrder>, lib: &BufferLibrary) {
+        out.clear();
+        out.extend(lib.entries().enumerate().map(|(bi, (_, b))| SpawnOrder {
+            bi,
+            inverting: b.inverting,
+            tied: false,
+        }));
+        let cap = |o: &SpawnOrder| lib.buffer(BufferId::from_index(o.bi)).input_capacitance;
+        out.sort_by(|a, b| cap(a).partial_cmp(&cap(b)).expect("finite caps"));
+        for k in 1..out.len() {
+            out[k].tied = cap(&out[k]) == cap(&out[k - 1]);
+        }
+    }
+}
+
+/// Turns the best table's winners into buffered spawns appended to
+/// `out`. Provenance is allocated buffer-major, then class-ascending,
+/// whatever the emission order, so the arena layout does not depend on
+/// it. With `sweep_ordered` the spawns are appended in sweep order —
+/// target class by class (parity, then count), each class's spawns by
+/// [`SpawnOrder`], with equal-cap runs fixed up to q descending, then
+/// buffer index — which is what the stable sweep sort makes of the
+/// buffer-major order, so the node prune finds the tail already sorted.
+/// Without it they are appended buffer-major.
+fn emit_spawns(
+    v: NodeId,
+    lib: &BufferLibrary,
+    best: &mut [Option<BestBuf>],
+    spawn_order: &[SpawnOrder],
+    arena: &mut ProvArena<(NodeId, BufferId)>,
+    out: &mut Vec<DpCand>,
+    sweep_ordered: bool,
+) {
+    let nbuf = lib.len();
+    debug_assert_eq!(
+        spawn_order.len(),
+        nbuf,
+        "scratch not reset for this library"
+    );
+    let classes = best.len() / nbuf;
+    for (bi, (bid, buf)) in lib.entries().enumerate() {
+        for class in 0..classes {
+            if let Some(s) = &mut best[class * nbuf + bi] {
+                let pred = arena.join(s.left, s.right);
+                s.cand = buffered_candidate(v, &s.cand, bid, buf, s.q_new, pred, arena);
+                if !sweep_ordered {
+                    out.push(s.cand);
+                }
+            }
+        }
+    }
+    if !sweep_ordered {
+        return;
+    }
+    // A spawn of buffer b in target class (parity, count) comes from
+    // source class (parity ^ inverting_b, count − 1).
+    let start = out.len();
+    for parity in [false, true] {
+        for count in 1..=classes.div_ceil(2) {
+            let mut tie_start = out.len();
+            for o in spawn_order {
+                if !o.tied {
+                    tie_start = out.len();
+                }
+                let class = 2 * (count - 1) + usize::from(parity ^ o.inverting);
+                let Some(Some(s)) = best.get(class * nbuf + o.bi) else {
+                    continue;
+                };
+                out.push(s.cand);
+                let mut k = out.len() - 1;
+                while k > tie_start && out[k - 1].q < out[k].q {
+                    out.swap(k - 1, k);
+                    k -= 1;
+                }
+            }
+        }
+    }
+    debug_assert!(
+        out[start..].is_sorted_by(|a, b| sweep_order(a, b) != Ordering::Greater),
+        "buffered spawns left out of sweep order"
+    );
 }
 
 /// Raw |L|·|R| product below which the fused merge keeps the plain double
@@ -815,10 +952,10 @@ fn witness_envelopes(list: &[DpCand], conditioned: bool, wit: &mut Vec<f64>, qor
     }
 }
 
-/// Emits one legal merge pair: updates the per-(buffer, class) best
-/// tables (pre-prune, in generation order, exactly like the seed's
-/// insert_buffers over the materialized product) and returns the row with
-/// deferred provenance for the caller to push.
+/// Emits one legal merge pair: bids it into the best table (pre-prune,
+/// in generation order, exactly like the seed's insert_buffers over the
+/// materialized product) and returns the row with deferred provenance
+/// for the caller to push.
 // Both enumeration paths call this once per legal pair; flat arguments
 // keep the hot loop free of aggregate construction.
 #[inline]
@@ -829,7 +966,7 @@ fn fused_emit(
     lib: &BufferLibrary,
     cfg: &DpConfig,
     feasible: bool,
-    best: &mut [Vec<Option<BestBuf>>],
+    best: &mut Vec<Option<BestBuf>>,
 ) -> MergeRow {
     let row = DpCand {
         cap: a.cap + b.cap,
@@ -842,31 +979,7 @@ fn fused_emit(
         prov: NONE,
     };
     if feasible {
-        for (bi, (_, buf)) in lib.entries().enumerate() {
-            if let Some(max) = cfg.max_buffers {
-                if row.count + 1 > max {
-                    continue;
-                }
-            }
-            if cfg.noise && buf.resistance * row.cur > row.ns + NOISE_TOL {
-                continue;
-            }
-            let q_new = row.q - buf.delay(row.cap);
-            let class = 2 * row.count + usize::from(row.parity);
-            let table = &mut best[bi];
-            if table.len() <= class {
-                table.resize(class + 1, None);
-            }
-            let slot = &mut table[class];
-            if slot.is_none_or(|s| q_new > s.q_new) {
-                *slot = Some(BestBuf {
-                    q_new,
-                    cand: row,
-                    left: a.prov,
-                    right: b.prov,
-                });
-            }
-        }
+        bid(&row, a.prov, b.prov, lib, cfg, best);
     }
     MergeRow {
         cand: row,
@@ -948,8 +1061,8 @@ fn survivor_covers(survivors: &[MergeRow], index: &[(u32, u32)], row: &DpCand) -
 /// ([`survivor_covers`]): the sweep would drop it, so only the row
 /// buffer's length — and with it the compaction cadence — moves.
 ///
-/// Returns the pruned product (in sweep order) followed by the freshly
-/// buffered candidates, and the length of that sorted head.
+/// Returns the pruned product followed by the freshly buffered
+/// candidates, each run in sweep order, and the length of the first.
 #[allow(clippy::too_many_arguments)]
 fn merge_fused(
     v: NodeId,
@@ -980,6 +1093,7 @@ fn merge_fused(
         frontier,
         head_rows,
         best,
+        spawn_order,
         wit_l,
         wit_r,
         pmax_r,
@@ -991,9 +1105,7 @@ fn merge_fused(
     } = scratch;
     rows.clear();
     survivor_index.clear();
-    for t in best.iter_mut() {
-        t.clear();
-    }
+    best.clear();
     let mut generated = 0usize;
     // Rows below this index are the last compaction's survivors, already
     // in sweep order and indexed in `survivor_index`.
@@ -1108,7 +1220,8 @@ fn merge_fused(
                             budget.checkpoint()?;
                             work.merge_rows_swept += rows.len() as u64;
                             work.merge_compactions += 1;
-                            sweep_prune(rows, sorted_rows, head_rows, frontier);
+                            work.prune_rows_sorted +=
+                                sweep_prune(rows, sorted_rows, head_rows, frontier) as u64;
                             sorted_rows = rows.len();
                             index_survivors(rows, survivor_index);
                             compact_at = (rows.len() * 2).max(1024);
@@ -1126,7 +1239,7 @@ fn merge_fused(
         return Err(CoreError::NoFeasibleCandidate);
     }
     work.merge_rows_swept += rows.len() as u64;
-    sweep_prune(rows, sorted_rows, head_rows, frontier);
+    work.prune_rows_sorted += sweep_prune(rows, sorted_rows, head_rows, frontier) as u64;
     out.reserve(rows.len());
     for r in rows.iter() {
         let mut c = r.cand;
@@ -1134,14 +1247,7 @@ fn merge_fused(
         out.push(c);
     }
     if feasible {
-        for (bi, (bid, buf)) in lib.entries().enumerate() {
-            for slot in best[bi].iter().flatten() {
-                let pred = arena.join(slot.left, slot.right);
-                out.push(buffered_candidate(
-                    v, &slot.cand, bid, buf, slot.q_new, pred, arena,
-                ));
-            }
-        }
+        emit_spawns(v, lib, best, spawn_order, arena, &mut out, true);
     }
     Ok((out, rows.len()))
 }
@@ -1472,7 +1578,7 @@ pub(crate) fn run_with_memo(
     // waited in a batch queue still gets its whole time allowance.
     let budget = budget.armed();
     budget.admit_tree(tree.len())?;
-    scratch.reset(tree.len(), lib.len());
+    scratch.reset(tree.len(), lib);
     let wire_current = |v: NodeId| -> f64 { scenario.map_or(0.0, |s| s.wire_current(tree, v)) };
 
     let memo = memo.filter(|t| t.enabled() && budget.max_arena_bytes.is_none());
@@ -1669,7 +1775,7 @@ pub(crate) fn run_with_memo(
 mod tests {
     use super::*;
     use crate::dp_reference::{frontier_insert, frontier_max_q};
-    use buffopt_buffers::catalog;
+    use buffopt_buffers::{catalog, BufferType};
     use buffopt_tree::{Driver, SinkSpec, TreeBuilder};
     use proptest::prelude::*;
 
@@ -1943,6 +2049,65 @@ mod tests {
         }
     }
 
+    /// Buffer insertion as it stood before the class-major bids, kept as
+    /// the oracle: one best table per buffer, filled buffer by buffer,
+    /// and the spawns appended buffer-major, then class-ascending.
+    /// Returns the per-buffer tables of winners.
+    fn insert_buffers_oracle(
+        v: NodeId,
+        cands: &mut Vec<DpCand>,
+        lib: &BufferLibrary,
+        cfg: &DpConfig,
+        arena: &mut ProvArena<(NodeId, BufferId)>,
+    ) -> Vec<Vec<Option<BestBuf>>> {
+        let mut best: Vec<Vec<Option<BestBuf>>> = vec![Vec::new(); lib.len()];
+        let mut fresh = Vec::new();
+        for (bi, (bid, buf)) in lib.entries().enumerate() {
+            let table = &mut best[bi];
+            for c in cands.iter() {
+                if let Some(max) = cfg.max_buffers {
+                    if c.count + 1 > max {
+                        continue;
+                    }
+                }
+                if cfg.noise && buf.resistance * c.cur > c.ns + NOISE_TOL {
+                    continue;
+                }
+                let q_new = c.q - buf.delay(c.cap);
+                if cfg.cost_aware {
+                    fresh.push(buffered_candidate(v, c, bid, buf, q_new, c.prov, arena));
+                    continue;
+                }
+                let class = 2 * c.count + usize::from(c.parity);
+                if table.len() <= class {
+                    table.resize(class + 1, None);
+                }
+                let slot = &mut table[class];
+                if slot.is_none_or(|s| q_new > s.q_new) {
+                    *slot = Some(BestBuf {
+                        q_new,
+                        cand: *c,
+                        left: c.prov,
+                        right: NONE,
+                    });
+                }
+            }
+            for slot in table.iter().flatten() {
+                let pred = arena.join(slot.left, slot.right);
+                fresh.push(buffered_candidate(
+                    v, &slot.cand, bid, buf, slot.q_new, pred, arena,
+                ));
+            }
+        }
+        cands.append(&mut fresh);
+        best
+    }
+
+    /// A best-table slot, bit for bit.
+    fn slot_bits(s: Option<BestBuf>) -> impl PartialEq + std::fmt::Debug {
+        s.map(|s| (s.q_new.to_bits(), cand_bits(&s.cand), s.left, s.right))
+    }
+
     /// Lays out the prefix hint a caller would pass: kind 0 sorts the
     /// first `split` rows and claims them, kind 1 sorts them and claims
     /// seven more (possibly past the end), kind 2 claims `split` unsorted
@@ -2070,6 +2235,89 @@ mod tests {
             prop_assert_eq!(got, expect);
         }
 
+        /// Class-major bids and the sweep-ordered spawn emitter against the
+        /// buffer-major oracle, on class-sorted lists and small random
+        /// libraries whose coarse grids repeat input capacitances (so
+        /// equal-cap spawns share a target class) and whole buffers (so
+        /// those spawns also tie on q): the spawns are the stable
+        /// sweep-order sort of the oracle's, row for row and bit for bit,
+        /// provenance indices included; every best-slot winner is the
+        /// oracle's; and the arena is the same size with every spawn
+        /// resolving to the same insertions. The pairwise modes keep the
+        /// oracle's order outright.
+        #[test]
+        fn prop_spawn_emitter_matches_buffer_major_oracle(
+            grids in prop::collection::vec((0u8..5, 0u8..6, 0u8..3, 0u8..3, 0u8..4, 0u8..2), 0..30),
+            buffers in prop::collection::vec((0u8..3, 0u8..2, 0u8..2, prop::bool::ANY, 0u8..2), 1..9),
+        ) {
+            let lib: BufferLibrary = buffers
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, r, d, inverting, nm))| {
+                    let b = BufferType::new(
+                        format!("b{i}"),
+                        f64::from(c + 1) * 4e-15,
+                        f64::from(r + 1) * 900.0,
+                        f64::from(d + 1) * 20e-12,
+                        0.5 + f64::from(nm) * 0.3,
+                    )
+                    .with_cost(f64::from(c + 1));
+                    if inverting { b.inverting() } else { b }
+                })
+                .collect();
+            let mut input: Vec<DpCand> = grids.iter().map(|&g| grid_cand(g)).collect();
+            input.sort_by(sweep_order);
+            let n = input.len();
+            let v = NodeId::from_index(n);
+            let modes = [
+                DpConfig::default(),
+                DpConfig { noise: false, ..DpConfig::default() },
+                DpConfig { max_buffers: Some(2), ..DpConfig::default() },
+                DpConfig { conservative: true, ..DpConfig::default() },
+                DpConfig { cost_aware: true, ..DpConfig::default() },
+            ];
+            for cfg in modes {
+                let mut s = DpScratch::default();
+                s.reset(1, &lib);
+                let mut got = input.clone();
+                stamp_provenance(&mut s.arena, [&mut got, &mut []]);
+                let mut oracle_arena = ProvArena::default();
+                let mut expect = input.clone();
+                stamp_provenance(&mut oracle_arena, [&mut expect, &mut []]);
+                let winners: Vec<DpCand> = got.clone();
+
+                insert_buffers_plain(v, &mut got, &lib, &cfg, &mut s);
+                let tables = insert_buffers_oracle(v, &mut expect, &lib, &cfg, &mut oracle_arena);
+                let mut spawns = expect[n..].to_vec();
+                if !cfg.conservative && !cfg.cost_aware {
+                    spawns.sort_by(sweep_order);
+                }
+                let got_bits: Vec<_> = got.iter().map(cand_bits).collect();
+                let expect_bits: Vec<_> =
+                    expect[..n].iter().chain(&spawns).map(cand_bits).collect();
+                prop_assert_eq!(got_bits, expect_bits, "cfg {:?}", cfg);
+                prop_assert_eq!(s.arena.bytes(), oracle_arena.bytes());
+                for c in &got[n..] {
+                    prop_assert_eq!(s.arena.resolve(c.prov), oracle_arena.resolve(c.prov));
+                }
+
+                if !cfg.cost_aware {
+                    let mut best = Vec::new();
+                    for c in &winners {
+                        bid(c, c.prov, NONE, &lib, &cfg, &mut best);
+                    }
+                    let classes = (best.len() / lib.len()).max(tables.iter().map(Vec::len).max().unwrap_or(0));
+                    for (bi, table) in tables.iter().enumerate() {
+                        for class in 0..classes {
+                            let new = best.get(class * lib.len() + bi).copied().flatten();
+                            let old = table.get(class).copied().flatten();
+                            prop_assert_eq!(slot_bits(new), slot_bits(old), "buffer {} class {}", bi, class);
+                        }
+                    }
+                }
+            }
+        }
+
         /// Fused merge-prune computes exactly `prune(insert_buffers(merge(L, R)))`
         /// of the materialized seed pipeline, in every sweep-pruned mode —
         /// the core claim that lets the |L|·|R| product stay virtual.
@@ -2110,7 +2358,7 @@ mod tests {
                 let mut left: Vec<DpCand> = lg.iter().map(|&g| grid_cand(g)).collect();
                 let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
                 let mut s0 = DpScratch::default();
-                s0.reset(2, lib.len());
+                s0.reset(2, &lib);
                 prune(&mut left, &cfg, &mut s0, 0);
                 prune(&mut right, &cfg, &mut s0, 0);
                 if left.is_empty()
@@ -2121,13 +2369,13 @@ mod tests {
                     continue;
                 }
                 let mut s1 = DpScratch::default();
-                s1.reset(2, lib.len());
+                s1.reset(2, &lib);
                 let mut stats1 = DpStats::default();
                 let fused = merge_fused(
                     v, &left, &right, &lib, &cfg, feasible, &budget, &mut s1, &mut stats1,
                 );
                 let mut s2 = DpScratch::default();
-                s2.reset(2, lib.len());
+                s2.reset(2, &lib);
                 let mut stats2 = DpStats::default();
                 let mat = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats2);
                 match (fused, mat) {
@@ -2204,7 +2452,7 @@ mod tests {
             let mut left: Vec<DpCand> = lg.iter().map(|&g| grid_cand(g)).collect();
             let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
             let mut s = DpScratch::default();
-            s.reset(2, lib.len());
+            s.reset(2, &lib);
             prune(&mut left, &cfg, &mut s, 0);
             prune(&mut right, &cfg, &mut s, 0);
             prop_assert!(frontier_is_class_sorted(&left), "post-prune left unsorted");
@@ -2283,7 +2531,7 @@ mod tests {
                 let mut left: Vec<DpCand> = lg.iter().map(|&g| grid_cand(g)).collect();
                 let mut right: Vec<DpCand> = rg.iter().map(|&g| grid_cand(g)).collect();
                 let mut s = DpScratch::default();
-                s.reset(2, lib.len());
+                s.reset(2, &lib);
                 prune(&mut left, &cfg, &mut s, 0);
                 prune(&mut right, &cfg, &mut s, 0);
                 if left.is_empty()
@@ -2417,7 +2665,7 @@ mod tests {
         let mut left = staircase(0);
         let mut right = staircase(4);
         let mut s = DpScratch::default();
-        s.reset(2, lib.len());
+        s.reset(2, &lib);
         prune(&mut left, &cfg, &mut s, 0);
         prune(&mut right, &cfg, &mut s, 0);
         let wire = Wire::from_rc(120.0, 2e-14, 1.0);
@@ -2573,7 +2821,7 @@ mod tests {
             let mut left = class_staircases(4, 50, 0);
             let mut right = class_staircases(4, 50, 4);
             let mut s0 = DpScratch::default();
-            s0.reset(2, lib.len());
+            s0.reset(2, &lib);
             let (nl, nr) = (left.len(), right.len());
             prune(&mut left, &cfg, &mut s0, 0);
             prune(&mut right, &cfg, &mut s0, 0);
@@ -2586,7 +2834,7 @@ mod tests {
             climb_in_place(&mut right, &wire, 1e-5, &cfg).expect("right survives");
 
             let mut s1 = DpScratch::default();
-            s1.reset(2, lib.len());
+            s1.reset(2, &lib);
             stamp_provenance(&mut s1.arena, [&mut left, &mut right]);
             let mut stats1 = DpStats::default();
             let (mut fused, head) = merge_fused(
@@ -2609,7 +2857,7 @@ mod tests {
             );
 
             let mut s2 = DpScratch::default();
-            s2.reset(2, lib.len());
+            s2.reset(2, &lib);
             stamp_provenance(&mut s2.arena, [&mut left, &mut right]);
             let mut stats2 = DpStats::default();
             let mut m = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats2)
@@ -2681,7 +2929,7 @@ mod tests {
             let mut left = staircase(nl, nl / 2);
             let mut right = staircase(nr, nr);
             let mut s = DpScratch::default();
-            s.reset(2, lib.len());
+            s.reset(2, &lib);
             prune(&mut left, &cfg, &mut s, 0);
             assert_eq!(
                 left.len(),
@@ -2710,7 +2958,7 @@ mod tests {
 
             for feasible in [false, true] {
                 let mut s1 = DpScratch::default();
-                s1.reset(2, lib.len());
+                s1.reset(2, &lib);
                 let mut stats = DpStats::default();
                 let (mut fused, head) = merge_fused(
                     tree.source(),
@@ -2726,7 +2974,7 @@ mod tests {
                 .expect("operands are non-empty");
                 prune(&mut fused, &cfg, &mut s1, head);
                 let mut s2 = DpScratch::default();
-                s2.reset(2, lib.len());
+                s2.reset(2, &lib);
                 let mut m = merge_materialized(&left, &right, &cfg, &budget, &mut s2, &mut stats)
                     .expect("operands are non-empty");
                 if feasible {

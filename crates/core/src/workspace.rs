@@ -46,6 +46,11 @@ pub struct DpWork {
     pub merge_rows_dropped: u64,
     /// Mid-merge compactions run by the fused merge.
     pub merge_compactions: u64,
+    /// Rows every dominance sweep (the node prunes and the fused merge's
+    /// compactions) handed to a comparison sort: each tail that was not
+    /// already in sweep order, plus each prefix whose sortedness hint
+    /// failed.
+    pub prune_rows_sorted: u64,
 }
 
 impl DpWorkspace {

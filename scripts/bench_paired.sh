@@ -25,6 +25,13 @@
 # metric per side. It exits 1 if any run failed, reported an incorrect
 # answer, or any pair's digests differed.
 #
+# The summary is also appended as one row to BENCH_perfbench.json at the
+# repository root (created if missing): both revisions (the change is
+# `git describe --dirty` of the working tree), workload, pairs, seconds,
+# seeds, per-side nets_per_s median and quartiles, the median ratio and
+# its quartiles, the win count, whether every digest agreed and every
+# answer was correct, the host's CPU and the UTC date.
+#
 # Environment:
 #   SEED0             first seed (default 1)
 #   BENCH_PAIRED_DIR  work directory for the parent tree, both target
@@ -46,6 +53,10 @@ seed0=${SEED0:-1}
 
 cd "$(dirname "$0")/.."
 repo=$(pwd)
+record=$repo/BENCH_perfbench.json
+parent_id=$(git rev-parse --short=12 "$parent_rev")
+change_id=$(git describe --always --dirty --abbrev=12)
+host="$(nproc) cores, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
 
 if [[ -n ${BENCH_PAIRED_DIR:-} ]]; then
     work=$BENCH_PAIRED_DIR
@@ -93,10 +104,10 @@ for ((i = 0; i < pairs; i++)); do
     echo "pair $((i + 1))/$pairs done (seed $seed)" >&2
 done
 
-python3 - "$work/runs" <<'EOF' || status=1
-import json, statistics, sys
+python3 - "$work/runs" "$record" "$parent_id" "$change_id" "$workload" "$seconds" "$host" <<'EOF' || status=1
+import datetime, json, os, statistics, sys
 
-runs = sys.argv[1]
+runs, record, parent_id, change_id, workload, seconds, host = sys.argv[1:]
 
 def load(i, side):
     try:
@@ -114,10 +125,12 @@ def quartiles(v):
     return q[0], q[2]
 
 ok = True
+digests_agree = True
 metrics = {"parent": {}, "change": {}}
-ratios, wins = [], 0
+ratios, wins, seeds = [], 0, []
 for line in open(f"{runs}/pairs"):
     i, seed, first = line.split()
+    seeds.append(int(seed))
     (rp, dp), (rc, dc) = load(i, "parent"), load(i, "change")
     if rp is None or rc is None:
         print(f"pair {int(i) + 1:>2} seed {seed:>3}: missing result")
@@ -126,6 +139,7 @@ for line in open(f"{runs}/pairs"):
     ok &= bool(rp["correct"] and rc["correct"])
     same = dp is not None and dp == dc
     ok &= same
+    digests_agree &= same
     for side, r in (("parent", rp), ("change", rc)):
         for k, v in r["metrics"].items():
             metrics[side].setdefault(k, []).append(v["value"])
@@ -149,6 +163,26 @@ if ratios:
         if k != "nets_per_s":
             print(f"  {k:<16} {statistics.median(metrics['parent'][k]):12.4f} -> "
                   f"{statistics.median(metrics['change'][k]):12.4f}")
+
+    def summary(v):
+        lo, hi = quartiles(v)
+        return {"median": round(statistics.median(v), 4), "q1": round(lo, 4), "q3": round(hi, 4)}
+    row = {
+        "parent": parent_id, "change": change_id, "workload": workload,
+        "pairs": len(ratios), "seconds": int(seconds), "seeds": seeds,
+        "nets_per_s": {s: summary(metrics[s]["nets_per_s"]) for s in ("parent", "change")},
+        "ratio": summary(ratios),
+        "change_wins": wins, "digests_agree": digests_agree, "all_ok": ok,
+        "host": host,
+        "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%MZ"),
+    }
+    rows = json.load(open(record))["rows"] if os.path.exists(record) else []
+    rows.append(row)
+    with open(record, "w") as f:
+        f.write('{"bench": "bench_paired", "rows": [\n')
+        f.write(",\n".join(json.dumps(r) for r in rows))
+        f.write("\n]}\n")
+    print(f"appended the summary to {record}")
 sys.exit(0 if ok else 1)
 EOF
 exit $status

@@ -3,8 +3,9 @@
 #
 # * BENCH_dp.json — per net size, median wall time for the arena engine
 #   vs the seed engine, candidate-pressure stats, and (with allocation
-#   counting compiled in) allocator traffic per run, the exact merge
-#   work counters (rows swept, rows dropped at emission, compactions),
+#   counting compiled in) allocator traffic per run, the exact DP work
+#   counters (merge rows swept, rows dropped at emission, compactions,
+#   rows any dominance sweep comparison-sorted),
 #   plus the greedy optimizer's incremental-vs-full-resweep "analysis"
 #   section;
 # * BENCH_memo.json — cold vs memo-warm family passes over the perturbed
@@ -24,9 +25,10 @@
 #   --gate            fail if the fresh DP snapshot's arena/reference
 #                     median ratios drift more than 2% from the committed
 #                     BENCH_dp.json, or if any size's exact
-#                     merge_rows_swept counter rises above the committed
-#                     row (the committed file is copied aside first, so
-#                     the fresh snapshot still lands in place)
+#                     merge_rows_swept or prune_rows_sorted counter rises
+#                     above the committed row (the committed file is
+#                     copied aside first, so the fresh snapshot still
+#                     lands in place)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
