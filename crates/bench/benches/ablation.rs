@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
+use buffopt::{DpWorkspace, Solution};
 use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder};
@@ -34,6 +35,18 @@ fn prepared(max_segment: f64) -> (RoutingTree, NoiseScenario) {
     (seg.tree, scenario)
 }
 
+/// Problem 2: one DP run read as its best slack.
+fn max_slack(
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    lib: &BufferLibrary,
+    opts: &BuffOptOptions,
+) -> Solution {
+    algo3::solve(&mut DpWorkspace::new(), tree, Some(scenario), lib, opts)
+        .expect("solves")
+        .max_slack()
+}
+
 fn bench_segmenting(c: &mut Criterion) {
     let lib = catalog::ibm_like();
     let mut group = c.benchmark_group("segment_granularity");
@@ -46,12 +59,7 @@ fn bench_segmenting(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(max_seg as usize),
             &max_seg,
-            |b, _| {
-                b.iter(|| {
-                    algo3::optimize(&tree, &scenario, &lib, &BuffOptOptions::default())
-                        .expect("solves")
-                })
-            },
+            |b, _| b.iter(|| max_slack(&tree, &scenario, &lib, &BuffOptOptions::default())),
         );
     }
     group.finish();
@@ -63,23 +71,14 @@ fn bench_pruning_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("pruning_mode");
     group.sample_size(10);
     group.bench_function("paper_cq", |b| {
-        b.iter(|| {
-            algo3::optimize(&tree, &scenario, &lib, &BuffOptOptions::default()).expect("solves")
-        })
+        b.iter(|| max_slack(&tree, &scenario, &lib, &BuffOptOptions::default()))
     });
     group.bench_function("conservative_4d", |b| {
-        b.iter(|| {
-            algo3::optimize(
-                &tree,
-                &scenario,
-                &lib,
-                &BuffOptOptions {
-                    conservative_pruning: true,
-                    ..BuffOptOptions::default()
-                },
-            )
-            .expect("solves")
-        })
+        let opts = BuffOptOptions {
+            conservative_pruning: true,
+            ..BuffOptOptions::default()
+        };
+        b.iter(|| max_slack(&tree, &scenario, &lib, &opts))
     });
     group.finish();
 }
@@ -97,9 +96,7 @@ fn bench_library_size(c: &mut Criterion) {
         ("full_11", &full),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                algo3::optimize(&tree, &scenario, lib, &BuffOptOptions::default()).expect("solves")
-            })
+            b.iter(|| max_slack(&tree, &scenario, lib, &BuffOptOptions::default()))
         });
     }
     group.finish();

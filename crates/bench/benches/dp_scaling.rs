@@ -8,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
-use buffopt::delayopt::{self, DelayOptOptions};
-use buffopt_buffers::catalog;
+use buffopt::{DpWorkspace, Solution};
+use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder};
 
@@ -33,6 +33,23 @@ fn comb_net(sinks: usize) -> RoutingTree {
         .tree
 }
 
+/// One DP run read as its best slack: BuffOpt with a scenario, DelayOpt
+/// without one.
+fn max_slack(
+    tree: &RoutingTree,
+    scenario: Option<&NoiseScenario>,
+    lib: &BufferLibrary,
+    max_buffers: Option<usize>,
+) -> Solution {
+    let opts = BuffOptOptions {
+        max_buffers,
+        ..BuffOptOptions::default()
+    };
+    algo3::solve(&mut DpWorkspace::new(), tree, scenario, lib, &opts)
+        .expect("solves")
+        .max_slack()
+}
+
 fn bench_scaling(c: &mut Criterion) {
     let lib = catalog::ibm_like();
     let mut group = c.benchmark_group("dp_scaling");
@@ -41,12 +58,10 @@ fn bench_scaling(c: &mut Criterion) {
         let tree = comb_net(sinks);
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
         group.bench_with_input(BenchmarkId::new("delayopt", sinks), &sinks, |b, _| {
-            b.iter(|| delayopt::optimize(&tree, &lib, &DelayOptOptions::default()).expect("solves"))
+            b.iter(|| max_slack(&tree, None, &lib, None))
         });
         group.bench_with_input(BenchmarkId::new("buffopt", sinks), &sinks, |b, _| {
-            b.iter(|| {
-                algo3::optimize(&tree, &scenario, &lib, &BuffOptOptions::default()).expect("solves")
-            })
+            b.iter(|| max_slack(&tree, Some(&scenario), &lib, None))
         });
     }
     group.finish();
@@ -61,31 +76,10 @@ fn bench_candidate_pressure(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_pressure");
     group.sample_size(10);
     group.bench_function("delayopt_k4", |b| {
-        b.iter(|| {
-            delayopt::optimize(
-                &tree,
-                &lib,
-                &DelayOptOptions {
-                    max_buffers: Some(4),
-                    ..Default::default()
-                },
-            )
-            .expect("solves")
-        })
+        b.iter(|| max_slack(&tree, None, &lib, Some(4)))
     });
     group.bench_function("buffopt_k4", |b| {
-        b.iter(|| {
-            algo3::optimize(
-                &tree,
-                &scenario,
-                &lib,
-                &BuffOptOptions {
-                    max_buffers: Some(4),
-                    ..BuffOptOptions::default()
-                },
-            )
-            .expect("solves")
-        })
+        b.iter(|| max_slack(&tree, Some(&scenario), &lib, Some(4)))
     });
     group.finish();
 }
@@ -115,9 +109,7 @@ fn bench_greedy_baseline(c: &mut Criterion) {
             .expect("solves")
         })
     });
-    group.bench_function("dp", |b| {
-        b.iter(|| delayopt::optimize(&tree, &lib, &DelayOptOptions::default()).expect("solves"))
-    });
+    group.bench_function("dp", |b| b.iter(|| max_slack(&tree, None, &lib, None)));
     group.finish();
 }
 

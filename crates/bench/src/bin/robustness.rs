@@ -7,9 +7,10 @@
 //! cargo run --release -p buffopt-bench --bin robustness [SEEDS]
 //! ```
 
-use buffopt::delayopt::{self, DelayOptOptions};
-use buffopt::Assignment;
-use buffopt_bench::{audited_max_delay, metric_violations, prepare, run_buffopt, ExperimentSetup};
+use buffopt::{Assignment, DpWorkspace};
+use buffopt_bench::{
+    audited_max_delay, delayopt_k, metric_violations, prepare, run_buffopt, ExperimentSetup,
+};
 
 fn main() -> std::process::ExitCode {
     let seeds: u64 = std::env::args()
@@ -38,6 +39,7 @@ fn main() -> std::process::ExitCode {
         let (_, total) = run.buffer_histogram();
 
         // Delay penalty at matched counts.
+        let mut ws = DpWorkspace::new();
         let (mut red_b, mut red_d) = (0.0f64, 0.0f64);
         for (net, sol) in nets.iter().zip(&run.solutions) {
             let Some(sol) = sol else { continue };
@@ -46,15 +48,8 @@ fn main() -> std::process::ExitCode {
             }
             let base = audited_max_delay(&net.tree, &setup.library, &Assignment::empty(&net.tree));
             red_b += base - audited_max_delay(&net.tree, &setup.library, &sol.assignment);
-            let d = delayopt::optimize(
-                &net.tree,
-                &setup.library,
-                &DelayOptOptions {
-                    max_buffers: Some(sol.buffers),
-                    ..Default::default()
-                },
-            )
-            .expect("delay-only solves");
+            let d = delayopt_k(&mut ws, &net.tree, &setup.library, sol.buffers)
+                .expect("delay-only solves");
             red_d += base - audited_max_delay(&net.tree, &setup.library, &d.assignment);
         }
         let penalty = if red_d > 0.0 {

@@ -10,9 +10,8 @@
 //! cargo run --release -p buffopt-bench --bin table4
 //! ```
 
-use buffopt::delayopt::{self, DelayOptOptions};
-use buffopt::Assignment;
-use buffopt_bench::{audited_max_delay, prepare, run_buffopt, ExperimentSetup};
+use buffopt::{Assignment, DpWorkspace};
+use buffopt_bench::{audited_max_delay, delayopt_k, prepare, run_buffopt, ExperimentSetup};
 
 fn main() -> std::process::ExitCode {
     let setup = ExperimentSetup::default();
@@ -35,6 +34,7 @@ fn main() -> std::process::ExitCode {
     let mut red_delayopt = [0.0f64; MAXK + 1];
 
     eprintln!("running matched DelayOpt and audits ...");
+    let mut ws = DpWorkspace::new();
     for (net, sol) in nets.iter().zip(&b.solutions) {
         let Some(sol) = sol else { continue };
         if sol.buffers == 0 {
@@ -45,15 +45,8 @@ fn main() -> std::process::ExitCode {
         let unbuffered =
             audited_max_delay(&net.tree, &setup.library, &Assignment::empty(&net.tree));
         let with_buffopt = audited_max_delay(&net.tree, &setup.library, &sol.assignment);
-        let d = delayopt::optimize(
-            &net.tree,
-            &setup.library,
-            &DelayOptOptions {
-                max_buffers: Some(sol.buffers),
-                ..Default::default()
-            },
-        )
-        .expect("delay-only optimization always has candidates");
+        let d = delayopt_k(&mut ws, &net.tree, &setup.library, sol.buffers)
+            .expect("delay-only optimization always has candidates");
         let with_delayopt = audited_max_delay(&net.tree, &setup.library, &d.assignment);
         count[k] += 1;
         red_buffopt[k] += unbuffered - with_buffopt;

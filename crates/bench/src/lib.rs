@@ -18,8 +18,8 @@
 use std::time::{Duration, Instant};
 
 use buffopt::audit;
-use buffopt::delayopt::{self, DelayOptOptions, Solution};
-use buffopt::Assignment;
+use buffopt::buffopt::{self as algo3, BuffOptOptions};
+use buffopt::{Assignment, DpWorkspace, Solution};
 use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_noise::NoiseScenario;
 use buffopt_pipeline::{run_batch, BatchReport, NetInput, PipelineConfig};
@@ -138,17 +138,30 @@ pub fn run_buffopt_batch(nets: &[PreparedNet], library: &BufferLibrary) -> Batch
     run_batch(&inputs, &cfg)
 }
 
+/// `DelayOpt(k)` on one net: the best delay-only slack with at most `k`
+/// buffers (`None` when the DP finds no solution).
+pub fn delayopt_k(
+    ws: &mut DpWorkspace,
+    tree: &RoutingTree,
+    library: &BufferLibrary,
+    k: usize,
+) -> Option<Solution> {
+    let opts = BuffOptOptions {
+        max_buffers: Some(k),
+        ..BuffOptOptions::default()
+    };
+    let frontier = algo3::solve(ws, tree, None, library, &opts).ok()?;
+    Some(frontier.max_slack())
+}
+
 /// Runs `DelayOpt(k)` (delay-optimal with at most `k` buffers) over every
 /// net.
 pub fn run_delayopt_k(nets: &[PreparedNet], library: &BufferLibrary, k: usize) -> RunOutcome {
-    let opts = DelayOptOptions {
-        max_buffers: Some(k),
-        ..Default::default()
-    };
     let start = Instant::now();
+    let mut ws = DpWorkspace::new();
     let solutions = nets
         .iter()
-        .map(|n| delayopt::optimize(&n.tree, library, &opts).ok())
+        .map(|n| delayopt_k(&mut ws, &n.tree, library, k))
         .collect();
     RunOutcome {
         solutions,

@@ -264,35 +264,31 @@ pub fn avoid_noise(
     scenario: &NoiseScenario,
     lib: &BufferLibrary,
 ) -> Result<MultiSinkSolution, CoreError> {
-    avoid_noise_budgeted(tree, scenario, lib, &RunBudget::default())
+    avoid_noise_budgeted_with(
+        &mut DpWorkspace::new(),
+        tree,
+        scenario,
+        lib,
+        &RunBudget::default(),
+    )
 }
 
-/// [`avoid_noise`] under a [`RunBudget`]: cancellation and the deadline
-/// are checked at every tree node (and at a stride inside merge cross
-/// products), candidate lists are gated on the budget's candidate cap,
-/// and the insertion arena is gated on the byte cap, so a pathological
-/// net aborts with a typed error instead of running away. The default
-/// budget reproduces [`avoid_noise`] exactly.
+/// [`avoid_noise`] under a [`RunBudget`] and with a reused
+/// [`DpWorkspace`], so batch drivers amortize the insertion arena across
+/// nets. Cancellation and the deadline are checked at every tree node
+/// (and at a stride inside merge cross products), candidate lists are
+/// gated on the budget's candidate cap, and the insertion arena is gated
+/// on the byte cap, so a pathological net aborts with a typed error
+/// instead of running away. The default budget reproduces
+/// [`avoid_noise`] exactly.
+///
+/// The repository benchmark (`perfbench/src/layers.rs`) calls this with
+/// its exact signature, so it stays as is until that benchmark changes.
 ///
 /// # Errors
 ///
 /// Those of [`avoid_noise`], plus [`CoreError::BudgetExceeded`] /
 /// [`CoreError::DeadlineExceeded`].
-pub fn avoid_noise_budgeted(
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    lib: &BufferLibrary,
-    budget: &RunBudget,
-) -> Result<MultiSinkSolution, CoreError> {
-    avoid_noise_budgeted_with(&mut DpWorkspace::new(), tree, scenario, lib, budget)
-}
-
-/// [`avoid_noise_budgeted`] with a reused [`DpWorkspace`], so batch
-/// drivers amortize the insertion arena across nets.
-///
-/// # Errors
-///
-/// Those of [`avoid_noise_budgeted`].
 pub fn avoid_noise_budgeted_with(
     ws: &mut DpWorkspace,
     tree: &RoutingTree,

@@ -1,7 +1,19 @@
-//! **BuffOpt** — Algorithm 3 of the paper: simultaneous noise and delay
-//! optimization (Problem 2), plus the Problem 3 production mode (fewest
-//! buffers such that noise *and* timing are satisfied, slack maximized as
-//! a secondary objective).
+//! **BuffOpt** — Algorithm 3 of the paper and the delay-only baseline it
+//! is compared against, behind one DP entry point.
+//!
+//! The DP indexes candidates by buffer count (the Lillis extension), so a
+//! single bottom-up pass leaves the best solution for every buffer count
+//! at the source. [`solve`] runs that pass once and returns the source
+//! [`Frontier`]; the problems are selections on it:
+//!
+//! * [`Frontier::max_slack`] — Problem 2 (maximum slack under noise), or
+//!   DelayOpt when no scenario is given;
+//! * [`Frontier::fewest_meeting`] — Problem 3, the production mode: the
+//!   fewest buffers such that noise *and* timing are met, slack second;
+//! * [`Frontier::per_count`] — `DelayOpt(k)` and BuffOpt per-count tables.
+//!
+//! [`min_cost`] is a different DP (cost tracking changes dominance), so it
+//! stays a function of its own.
 
 use std::sync::Arc;
 
@@ -12,19 +24,19 @@ use buffopt_tree::RoutingTree;
 
 use crate::assignment::Assignment;
 use crate::budget::RunBudget;
-use crate::delayopt::Solution;
 use crate::dp::{self, DpConfig, DpStats, SourceCand};
-use crate::error::CoreError;
+use crate::error::{BudgetResource, CoreError};
 use crate::workspace::DpWorkspace;
 
-/// Options for the BuffOpt optimizers.
+/// Options for [`solve`] and [`min_cost`].
 ///
 /// Not `Copy`: the embedded [`RunBudget`] carries a shared
 /// [`crate::CancelToken`], so options are cloned explicitly where a run
 /// needs its own handle.
 #[derive(Debug, Clone, Default)]
 pub struct BuffOptOptions {
-    /// Hard cap on the number of inserted buffers.
+    /// Hard cap on the number of inserted buffers — the paper's
+    /// `DelayOpt(k)` when no scenario is given.
     pub max_buffers: Option<usize>,
     /// Prune only candidates dominated in `(C, q, I, NS)` rather than the
     /// paper's `(C, q)`. Slower but exact when the library violates the
@@ -47,60 +59,194 @@ pub struct BuffOptOptions {
     pub memo: Option<Arc<MemoTable>>,
 }
 
-fn to_solution(tree: &RoutingTree, c: SourceCand, stats: &DpStats) -> Solution {
-    Solution {
-        assignment: Assignment::from_pairs(tree, c.insertions),
-        slack: c.slack,
-        buffers: c.count,
-        cost: c.cost,
-        meets_noise: true,
-        peak_candidates: stats.peak_candidates,
-        peak_merge_product: stats.peak_merge_product,
-        merge_products_enumerated: stats.merge_products_enumerated,
-        merge_products_pruned: stats.merge_products_pruned,
-        peak_arena_bytes: stats.peak_arena_bytes,
-        degraded_by: stats.degraded_by,
+/// A buffered solution returned by the optimizers.
+#[derive(Debug, Clone)]
+pub struct Solution {
+    /// Which buffer sits at which node.
+    pub assignment: Assignment,
+    /// Timing slack at the source (`min (RAT − delay)` including the
+    /// driver gate delay); the net meets timing iff non-negative.
+    pub slack: f64,
+    /// Number of inserted buffers.
+    pub buffers: usize,
+    /// Total area/power cost of the inserted buffers.
+    pub cost: f64,
+    /// True when the solution was produced under noise constraints.
+    pub meets_noise: bool,
+    /// Largest candidate list the DP held live at any node (after the
+    /// fused merge-prune, including freshly buffered candidates) — the
+    /// count the candidate budget gates on. Zero for optimizers that do
+    /// not run the DP (e.g. the greedy baseline).
+    pub peak_candidates: usize,
+    /// Largest per-node count of merge rows the DP actually enumerated
+    /// (pre-prune). With predictive pruning this can sit well below the
+    /// raw |L|·|R| cross product; the gap is the fused prune's savings.
+    /// Zero for non-DP optimizers.
+    pub peak_merge_product: usize,
+    /// Total merge rows enumerated across the whole run — the work the
+    /// DP's merge loops actually did. Zero for non-DP optimizers.
+    pub merge_products_enumerated: usize,
+    /// Total merge pairs skipped without being enumerated (polarity /
+    /// buffer-cap blocks plus predictive witness skips). Per merge node,
+    /// `enumerated + pruned` equals the raw |L|·|R| product exactly, so
+    /// the pair measures predictive-pruning effectiveness end-to-end.
+    pub merge_products_pruned: usize,
+    /// High-water mark of the provenance arena during the run, in bytes —
+    /// the quantity a [`RunBudget::with_max_arena_bytes`] cap gates on.
+    /// Zero for optimizers that do not run the DP.
+    pub peak_arena_bytes: usize,
+    /// `Some(resource)` when the run hit a resource cap and — because the
+    /// budget opted into [`RunBudget::with_degrade`] — finished by
+    /// tightening pruning instead of erroring. The solution is feasible
+    /// but possibly suboptimal; `None` means the full search ran.
+    pub degraded_by: Option<BudgetResource>,
+}
+
+/// The source frontier of one DP run: the surviving solutions, at most a
+/// few per buffer count, plus the run's statistics. Every selection
+/// builds a [`Solution`] only for what it reads, stamped with those
+/// statistics.
+#[derive(Debug, Clone)]
+pub struct Frontier<'t> {
+    tree: &'t RoutingTree,
+    /// Ascending buffer count; never empty.
+    cands: Vec<SourceCand>,
+    stats: DpStats,
+    noise: bool,
+}
+
+impl Frontier<'_> {
+    fn solution(&self, c: &SourceCand) -> Solution {
+        let s = &self.stats;
+        Solution {
+            assignment: Assignment::from_pairs(self.tree, c.insertions.iter().copied()),
+            slack: c.slack,
+            buffers: c.count,
+            cost: c.cost,
+            meets_noise: self.noise,
+            peak_candidates: s.peak_candidates,
+            peak_merge_product: s.peak_merge_product,
+            merge_products_enumerated: s.merge_products_enumerated,
+            merge_products_pruned: s.merge_products_pruned,
+            peak_arena_bytes: s.peak_arena_bytes,
+            degraded_by: s.degraded_by,
+        }
+    }
+
+    /// Problem 2 — the maximum source slack such that every noise
+    /// constraint (sinks and inserted buffer inputs) is met; DelayOpt when
+    /// the run had no scenario.
+    ///
+    /// Optimal for single-type libraries under the paper's Theorem 5
+    /// assumptions, and with conservative pruning; within ~2 % of the
+    /// delay-only upper bound for the 11-buffer library (paper Table IV,
+    /// reproduced in the bench crate).
+    pub fn max_slack(&self) -> Solution {
+        let best = self
+            .cands
+            .iter()
+            .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
+            .expect("a frontier is never empty");
+        self.solution(best)
+    }
+
+    /// Problem 3 — the solution with the fewest buffers whose slack is
+    /// non-negative, maximizing slack as a secondary objective; `None`
+    /// when no buffer count meets timing (read [`Frontier::max_slack`]
+    /// for the best-slack fallback).
+    pub fn fewest_meeting(&self) -> Option<Solution> {
+        self.cands
+            .iter()
+            .filter(|c| c.slack >= 0.0)
+            .min_by(|a, b| {
+                a.count
+                    .cmp(&b.count)
+                    .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
+            })
+            .map(|c| self.solution(c))
+    }
+
+    /// The best solution for every buffer count up to `k` (Lillis indexed
+    /// lists): entry `j` holds the best solution using exactly `j`
+    /// buffers, or `None` when none survives — a count whose best is no
+    /// better than a smaller count's is pruned away, and under noise a
+    /// count may have no clean solution at all. Run with
+    /// `max_buffers: Some(k)` to keep the DP no larger than the table.
+    pub fn per_count(&self, k: usize) -> Vec<Option<Solution>> {
+        let mut best: Vec<Option<&SourceCand>> = vec![None; k + 1];
+        for c in &self.cands {
+            if c.count <= k && best[c.count].is_none_or(|prev| c.slack > prev.slack) {
+                best[c.count] = Some(c);
+            }
+        }
+        best.into_iter()
+            .map(|c| c.map(|c| self.solution(c)))
+            .collect()
     }
 }
 
-fn config_of(options: &BuffOptOptions) -> DpConfig {
-    DpConfig {
-        noise: true,
-        max_buffers: options.max_buffers,
-        conservative: options.conservative_pruning,
-        polarity: options.polarity_aware,
-        cost_aware: false,
-    }
-}
-
-/// Problem 2: maximize the source timing slack such that every noise
-/// constraint (sinks and inserted buffer inputs) is satisfied.
-///
-/// Optimal for single-type libraries under the paper's Theorem 5
-/// assumptions; within ~2 % of the delay-only upper bound for the
-/// 11-buffer library (paper Table IV, reproduced in the bench crate).
+/// Runs the DP once over `tree` and returns its source frontier. Noise
+/// constraints are on exactly when a `scenario` is given (Algorithm 3);
+/// without one this is the paper's DelayOpt baseline.
 ///
 /// # Errors
 ///
 /// * [`CoreError::EmptyLibrary`] — no buffer types;
 /// * [`CoreError::ScenarioMismatch`] — scenario built for another tree;
 /// * [`CoreError::NoFeasibleCandidate`] — no insertion satisfies the noise
-///   margins (e.g. insufficient wire segmenting).
-pub fn optimize(
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
+///   margins (e.g. insufficient wire segmenting), or polarity / the
+///   buffer cap leaves nothing;
+/// * [`CoreError::BudgetExceeded`] / [`CoreError::DeadlineExceeded`] /
+///   [`CoreError::Cancelled`] — the budget stopped the run.
+pub fn solve<'t>(
+    ws: &mut DpWorkspace,
+    tree: &'t RoutingTree,
+    scenario: Option<&NoiseScenario>,
     lib: &BufferLibrary,
-    options: &BuffOptOptions,
-) -> Result<Solution, CoreError> {
-    optimize_with(&mut DpWorkspace::new(), tree, scenario, lib, options)
+    opts: &BuffOptOptions,
+) -> Result<Frontier<'t>, CoreError> {
+    run(ws, tree, scenario, lib, opts, false)
 }
 
-/// [`optimize`] with a reused [`DpWorkspace`], so batch drivers and server
-/// workers amortize the DP scratch across nets.
+fn run<'t>(
+    ws: &mut DpWorkspace,
+    tree: &'t RoutingTree,
+    scenario: Option<&NoiseScenario>,
+    lib: &BufferLibrary,
+    opts: &BuffOptOptions,
+    cost_aware: bool,
+) -> Result<Frontier<'t>, CoreError> {
+    let cfg = DpConfig {
+        noise: scenario.is_some(),
+        max_buffers: opts.max_buffers,
+        conservative: opts.conservative_pruning,
+        polarity: opts.polarity_aware,
+        cost_aware,
+    };
+    let (cands, stats) = dp::run(
+        &mut ws.dp,
+        tree,
+        scenario,
+        lib,
+        &cfg,
+        &opts.budget,
+        opts.memo.as_deref(),
+    )?;
+    Ok(Frontier {
+        tree,
+        cands,
+        stats,
+        noise: cfg.noise,
+    })
+}
+
+/// [`solve`] under noise, read as [`Frontier::max_slack`]. Kept with this
+/// signature because the repository benchmark (`perfbench/src/layers.rs`)
+/// calls it; it goes once that benchmark moves to [`solve`].
 ///
 /// # Errors
 ///
-/// Those of [`optimize`].
+/// Those of [`solve`].
 pub fn optimize_with(
     ws: &mut DpWorkspace,
     tree: &RoutingTree,
@@ -108,108 +254,17 @@ pub fn optimize_with(
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &config_of(options),
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    let best = cands
-        .into_iter()
-        .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-        .ok_or(CoreError::NoFeasibleCandidate)?;
-    Ok(to_solution(tree, best, &stats))
+    Ok(solve(ws, tree, Some(scenario), lib, options)?.max_slack())
 }
 
-/// The best noise-clean solution for every buffer count up to
-/// `max_buffers`; entry `k` is `None` when no `k`-buffer solution survives
-/// (dominated by a smaller count, or noise-infeasible).
+/// [`solve`] under noise, read as [`Frontier::fewest_meeting`] with the
+/// [`Frontier::max_slack`] fallback. Kept with this signature because the
+/// repository benchmark (`perfbench/src/layers.rs`) calls it; it goes
+/// once that benchmark moves to [`solve`].
 ///
 /// # Errors
 ///
-/// Same as [`optimize`].
-pub fn optimize_per_count(
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    lib: &BufferLibrary,
-    max_buffers: usize,
-    options: &BuffOptOptions,
-) -> Result<Vec<Option<Solution>>, CoreError> {
-    optimize_per_count_with(
-        &mut DpWorkspace::new(),
-        tree,
-        scenario,
-        lib,
-        max_buffers,
-        options,
-    )
-}
-
-/// [`optimize_per_count`] with a reused [`DpWorkspace`].
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-pub fn optimize_per_count_with(
-    ws: &mut DpWorkspace,
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    lib: &BufferLibrary,
-    max_buffers: usize,
-    options: &BuffOptOptions,
-) -> Result<Vec<Option<Solution>>, CoreError> {
-    let cfg = DpConfig {
-        max_buffers: Some(max_buffers),
-        ..config_of(options)
-    };
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &cfg,
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    let mut out: Vec<Option<Solution>> = (0..=max_buffers).map(|_| None).collect();
-    for c in cands {
-        let count = c.count;
-        let better =
-            count <= max_buffers && out[count].as_ref().is_none_or(|prev| c.slack > prev.slack);
-        if better {
-            out[count] = Some(to_solution(tree, c, &stats));
-        }
-    }
-    Ok(out)
-}
-
-/// Problem 3 (the tool's production mode): the solution with the fewest
-/// buffers such that **both** noise and timing constraints are satisfied,
-/// maximizing slack as a secondary objective. When no buffer count meets
-/// timing, returns the noise-clean solution with the best slack (its
-/// `slack` will be negative), mirroring how a physical-design flow
-/// degrades gracefully.
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-pub fn min_buffers(
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    lib: &BufferLibrary,
-    options: &BuffOptOptions,
-) -> Result<Solution, CoreError> {
-    min_buffers_with(&mut DpWorkspace::new(), tree, scenario, lib, options)
-}
-
-/// [`min_buffers`] with a reused [`DpWorkspace`].
-///
-/// # Errors
-///
-/// Same as [`optimize`].
+/// Those of [`solve`].
 pub fn min_buffers_with(
     ws: &mut DpWorkspace,
     tree: &RoutingTree,
@@ -217,31 +272,8 @@ pub fn min_buffers_with(
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let (mut cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &config_of(options),
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    cands.sort_by(|a, b| {
-        a.count
-            .cmp(&b.count)
-            .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
-    });
-    if let Some(first_meeting) = cands.iter().position(|c| c.slack >= 0.0) {
-        // Counts ascend and slack descends within a count, so the first
-        // timing-feasible entry is the fewest-buffer, best-slack one.
-        let c = cands.swap_remove(first_meeting);
-        return Ok(to_solution(tree, c, &stats));
-    }
-    let best = cands
-        .into_iter()
-        .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-        .ok_or(CoreError::NoFeasibleCandidate)?;
-    Ok(to_solution(tree, best, &stats))
+    let f = solve(ws, tree, Some(scenario), lib, options)?;
+    Ok(f.fewest_meeting().unwrap_or_else(|| f.max_slack()))
 }
 
 /// The Lillis power objective: the solution with the smallest **total
@@ -250,78 +282,83 @@ pub fn min_buffers_with(
 /// maximized as a secondary objective. Falls back to the best-slack
 /// noise-clean solution when no candidate meets timing.
 ///
-/// Unlike [`min_buffers`], two solutions with the same buffer count but
-/// different device sizes are distinguished, so the DP runs with cost
-/// tracking (pairwise pruning — somewhat slower).
+/// Unlike [`Frontier::fewest_meeting`], two solutions with the same
+/// buffer count but different device sizes are distinguished, so the DP
+/// runs with cost tracking (pairwise pruning — somewhat slower).
 ///
 /// # Errors
 ///
-/// Same as [`optimize`].
+/// Those of [`solve`].
 pub fn min_cost(
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    lib: &BufferLibrary,
-    options: &BuffOptOptions,
-) -> Result<Solution, CoreError> {
-    min_cost_with(&mut DpWorkspace::new(), tree, scenario, lib, options)
-}
-
-/// [`min_cost`] with a reused [`DpWorkspace`].
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-pub fn min_cost_with(
     ws: &mut DpWorkspace,
     tree: &RoutingTree,
     scenario: &NoiseScenario,
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let cfg = DpConfig {
-        cost_aware: true,
-        ..config_of(options)
-    };
-    let (cands, stats) = dp::run_with_memo(
-        &mut ws.dp,
-        tree,
-        Some(scenario),
-        lib,
-        &cfg,
-        &options.budget,
-        options.memo.as_deref(),
-    )?;
-    let best_meeting = cands
-        .iter()
-        .filter(|c| c.slack >= 0.0)
-        .min_by(|a, b| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("finite costs")
-                .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
-        })
-        .cloned();
-    let chosen = match best_meeting {
-        Some(c) => c,
-        None => cands
-            .into_iter()
-            .max_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slack"))
-            .ok_or(CoreError::NoFeasibleCandidate)?,
-    };
-    Ok(to_solution(tree, chosen, &stats))
+    let f = run(ws, tree, Some(scenario), lib, options, true)?;
+    let best_meeting = f.cands.iter().filter(|c| c.slack >= 0.0).min_by(|a, b| {
+        a.cost
+            .partial_cmp(&b.cost)
+            .expect("finite costs")
+            .then(b.slack.partial_cmp(&a.slack).expect("finite slack"))
+    });
+    Ok(match best_meeting {
+        Some(c) => f.solution(c),
+        None => f.max_slack(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit;
-    use crate::delayopt::{self, DelayOptOptions};
     use buffopt_buffers::{catalog, BufferLibrary, BufferType};
     use buffopt_noise::metric::NoiseReport;
     use buffopt_tree::{segment, Driver, SinkSpec, Technology, TreeBuilder};
 
     fn estimation(tree: &RoutingTree) -> NoiseScenario {
         NoiseScenario::estimation(tree, 0.7, 7.2e9)
+    }
+
+    /// Problem 2 (DelayOpt without a scenario) on a fresh workspace.
+    fn max_slack(
+        t: &RoutingTree,
+        s: Option<&NoiseScenario>,
+        lib: &BufferLibrary,
+        opts: &BuffOptOptions,
+    ) -> Result<Solution, CoreError> {
+        Ok(solve(&mut DpWorkspace::new(), t, s, lib, opts)?.max_slack())
+    }
+
+    /// Problem 3 with its best-slack fallback, as the ladder serves it.
+    fn fewest(t: &RoutingTree, s: &NoiseScenario, lib: &BufferLibrary) -> Solution {
+        min_buffers_with(
+            &mut DpWorkspace::new(),
+            t,
+            s,
+            lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("p3")
+    }
+
+    fn cheapest(t: &RoutingTree, s: &NoiseScenario, lib: &BufferLibrary) -> Solution {
+        min_cost(
+            &mut DpWorkspace::new(),
+            t,
+            s,
+            lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("cost")
+    }
+
+    fn capped(k: usize) -> BuffOptOptions {
+        BuffOptOptions {
+            max_buffers: Some(k),
+            ..BuffOptOptions::default()
+        }
     }
 
     fn two_pin_segmented(len: f64, pieces: usize, rat: f64) -> RoutingTree {
@@ -351,8 +388,8 @@ mod tests {
         let s = estimation(&t);
         let lib = catalog::ibm_like();
         assert!(NoiseReport::analyze(&t, &s).has_violation());
-        let sol = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("solve");
-        assert!(sol.buffers > 0);
+        let sol = max_slack(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("solve");
+        assert!(sol.buffers > 0 && sol.meets_noise);
         let na = audit::noise(&t, &s, &lib, &sol.assignment).expect("audit");
         assert!(
             !na.has_violation(),
@@ -368,9 +405,10 @@ mod tests {
         let t = y_net_segmented(8_000.0, 6_000.0, 6);
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let noise_sol = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("buffopt");
-        let delay_sol =
-            delayopt::optimize(&t, &lib, &DelayOptOptions::default()).expect("delayopt");
+        let opts = BuffOptOptions::default();
+        let noise_sol = max_slack(&t, Some(&s), &lib, &opts).expect("buffopt");
+        let delay_sol = max_slack(&t, None, &lib, &opts).expect("delayopt");
+        assert!(!delay_sol.meets_noise);
         // DelayOpt is an upper bound on BuffOpt's slack (paper Section V-C).
         assert!(noise_sol.slack <= delay_sol.slack + 1e-15);
         // And BuffOpt is noise-clean while DelayOpt need not be.
@@ -387,7 +425,7 @@ mod tests {
         let t = y_net_segmented(6_000.0, 4_000.0, 4);
         let s = estimation(&t);
         let lib = BufferLibrary::single(BufferType::new("b", 8e-15, 220.0, 25e-12, 0.9));
-        let sol = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("solve");
+        let sol = max_slack(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("solve");
 
         let sites: Vec<_> = t
             .node_ids()
@@ -424,9 +462,16 @@ mod tests {
         let t = two_pin_segmented(20_000.0, 16, 3e-9); // loose timing
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let max_slack = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("p2");
-        let frugal = min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("p3");
-        assert!(frugal.buffers <= max_slack.buffers);
+        let f = solve(
+            &mut DpWorkspace::new(),
+            &t,
+            Some(&s),
+            &lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("solve");
+        let frugal = f.fewest_meeting().expect("timing is meetable");
+        assert!(frugal.buffers <= f.max_slack().buffers);
         assert!(frugal.slack >= 0.0, "timing met");
         assert!(!audit::noise(&t, &s, &lib, &frugal.assignment)
             .expect("audit")
@@ -438,8 +483,18 @@ mod tests {
         let t = two_pin_segmented(20_000.0, 16, 1e-12); // impossible timing
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let sol = min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("p3");
-        assert!(sol.slack < 0.0, "timing is unmeetable");
+        let f = solve(
+            &mut DpWorkspace::new(),
+            &t,
+            Some(&s),
+            &lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("solve");
+        assert!(f.fewest_meeting().is_none(), "timing is unmeetable");
+        let sol = fewest(&t, &s, &lib);
+        assert!(sol.slack < 0.0);
+        assert_eq!(sol.slack.to_bits(), f.max_slack().slack.to_bits());
         assert!(!audit::noise(&t, &s, &lib, &sol.assignment)
             .expect("audit")
             .has_violation());
@@ -451,8 +506,9 @@ mod tests {
         let s = estimation(&t);
         let lib = catalog::ibm_like();
         assert!(NoiseReport::analyze(&t, &s).has_violation());
-        let per =
-            optimize_per_count(&t, &s, &lib, 12, &BuffOptOptions::default()).expect("per-count");
+        let per = solve(&mut DpWorkspace::new(), &t, Some(&s), &lib, &capped(12))
+            .expect("solve")
+            .per_count(12);
         assert!(per[0].is_none(), "unbuffered candidate violates noise");
         assert!(per.iter().flatten().count() >= 1);
         for sol in per.iter().flatten() {
@@ -471,10 +527,10 @@ mod tests {
         lib.push(BufferType::new("clean", 6e-15, 450.0, 30e-12, 0.95));
         let t = two_pin_segmented(25_000.0, 20, 3e-9);
         let s = estimation(&t);
-        let paper = optimize(&t, &s, &lib, &BuffOptOptions::default());
-        let safe = optimize(
+        let paper = max_slack(&t, Some(&s), &lib, &BuffOptOptions::default());
+        let safe = max_slack(
             &t,
-            &s,
+            Some(&s),
             &lib,
             &BuffOptOptions {
                 conservative_pruning: true,
@@ -496,10 +552,10 @@ mod tests {
         let t = two_pin_segmented(20_000.0, 16, 2e-9);
         let s = estimation(&t);
         let lib = catalog::ibm_like(); // 5 inverting + 6 non-inverting
-        let free = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("free");
-        let strict = optimize(
+        let free = max_slack(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("free");
+        let strict = max_slack(
             &t,
-            &s,
+            Some(&s),
             &lib,
             &BuffOptOptions {
                 polarity_aware: true,
@@ -525,9 +581,9 @@ mod tests {
         // this net, which is genuinely parity-infeasible.
         let t = two_pin_segmented(12_000.0, 24, 2e-9);
         let s = estimation(&t);
-        let sol = optimize(
+        let sol = max_slack(
             &t,
-            &s,
+            Some(&s),
             &lib,
             &BuffOptOptions {
                 polarity_aware: true,
@@ -538,7 +594,7 @@ mod tests {
         assert_eq!(sol.buffers % 2, 0, "chain needs an even inverter count");
         assert!(audit::polarity_legal(&t, &lib, &sol.assignment));
         // Without polarity tracking the same run may use an odd count.
-        let free = optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("free");
+        let free = max_slack(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("free");
         assert!(free.slack >= sol.slack - 1e-15);
     }
 
@@ -547,8 +603,8 @@ mod tests {
         let t = two_pin_segmented(18_000.0, 14, 3e-9);
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let frugal_count = min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("p3");
-        let frugal_cost = min_cost(&t, &s, &lib, &BuffOptOptions::default()).expect("cost");
+        let frugal_count = fewest(&t, &s, &lib);
+        let frugal_cost = cheapest(&t, &s, &lib);
         assert!(frugal_cost.cost <= frugal_count.cost + 1e-12);
         assert!(frugal_cost.slack >= 0.0, "timing met");
         assert!(!audit::noise(&t, &s, &lib, &frugal_cost.assignment)
@@ -564,7 +620,7 @@ mod tests {
         let t = two_pin_segmented(14_000.0, 14, 10e-9);
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let sol = min_cost(&t, &s, &lib, &BuffOptOptions::default()).expect("cost");
+        let sol = cheapest(&t, &s, &lib);
         let max_level = sol
             .assignment
             .iter()
@@ -600,7 +656,7 @@ mod tests {
 
         let seg = segment::segment_wires(&t0, 250.0).expect("segment");
         let s_seg = estimation(&t0).for_segmented(&seg);
-        let p3 = min_buffers(&seg.tree, &s_seg, &lib, &BuffOptOptions::default()).expect("p3");
+        let p3 = fewest(&seg.tree, &s_seg, &lib);
         // Discrete sites within 250 µm of the continuous optimum: at most
         // one extra buffer.
         assert!(
@@ -610,5 +666,95 @@ mod tests {
             a2.inserted()
         );
         assert!(p3.buffers >= a2.inserted(), "cannot beat the optimum");
+    }
+
+    // DelayOpt: the same run without a scenario.
+
+    #[test]
+    fn delayopt_buffering_beats_unbuffered_on_long_nets() {
+        let t = two_pin_segmented(10_000.0, 10, 1e-9);
+        let lib = catalog::ibm_like();
+        let unbuffered = audit::delay(&t, &lib, &Assignment::empty(&t)).expect("audit");
+        let sol = max_slack(&t, None, &lib, &BuffOptOptions::default()).expect("solve");
+        assert!(sol.buffers > 0);
+        assert!(sol.slack > unbuffered.slack);
+    }
+
+    #[test]
+    fn delayopt_per_count_table_consistent_with_capped_runs() {
+        let t = two_pin_segmented(12_000.0, 12, 1e-9);
+        let lib = catalog::ibm_like();
+        let per = solve(&mut DpWorkspace::new(), &t, None, &lib, &capped(6))
+            .expect("solve")
+            .per_count(6);
+        // Prefix best over counts ≤ k equals an independent capped run
+        // ("more buffers allowed never hurts").
+        let mut prefix = f64::NEG_INFINITY;
+        for (k, sol) in per.iter().enumerate() {
+            if let Some(s) = sol {
+                assert_eq!(s.buffers, k, "entry k holds exactly k buffers");
+                prefix = prefix.max(s.slack);
+            }
+            let capped = max_slack(&t, None, &lib, &capped(k)).expect("solve");
+            assert!(
+                (capped.slack - prefix).abs() < 1e-15,
+                "k={k}: capped {} vs prefix best {}",
+                capped.slack,
+                prefix
+            );
+        }
+        // Count-0 exists and matches the unbuffered audit.
+        let zero = per[0].as_ref().expect("unbuffered candidate");
+        let audit = audit::delay(&t, &lib, &Assignment::empty(&t)).expect("audit");
+        assert!((zero.slack - audit.slack).abs() < 1e-15);
+    }
+
+    #[test]
+    fn delayopt_max_buffers_caps_insertions() {
+        let t = two_pin_segmented(40_000.0, 20, 1e-9);
+        let lib = catalog::ibm_like();
+        let free = max_slack(&t, None, &lib, &BuffOptOptions::default()).expect("free");
+        assert!(free.buffers > 2);
+        let capped = max_slack(&t, None, &lib, &capped(2)).expect("capped");
+        assert!(capped.buffers <= 2);
+        assert!(capped.slack <= free.slack);
+    }
+
+    #[test]
+    fn delayopt_branching_net_decoupling() {
+        // Classic van Ginneken motif: a critical sink plus a heavy side
+        // load; a buffer should decouple the side branch.
+        let tech = Technology::global_layer();
+        let mut b = TreeBuilder::new(Driver::new(300.0, 10e-12));
+        let j = b.add_internal(b.source(), tech.wire(1000.0)).expect("j");
+        b.add_sink(j, tech.wire(500.0), SinkSpec::new(10e-15, 0.25e-9, 0.8))
+            .expect("critical");
+        b.add_sink(j, tech.wire(15_000.0), SinkSpec::new(50e-15, 1e9, 0.8))
+            .expect("lazy"); // effectively no timing constraint
+        let t0 = b.build().expect("tree");
+        let t = segment::segment_uniform(&t0, 4).expect("segment").tree;
+        let lib = catalog::ibm_like();
+        let unbuffered = audit::delay(&t, &lib, &Assignment::empty(&t)).expect("audit");
+        let sol = max_slack(&t, None, &lib, &BuffOptOptions::default()).expect("solve");
+        assert!(sol.buffers >= 1);
+        assert!(sol.slack > unbuffered.slack + 50e-12, "decoupling wins big");
+    }
+
+    #[test]
+    fn empty_library_rejected() {
+        let t = two_pin_segmented(1000.0, 2, 1e-9);
+        let s = estimation(&t);
+        for scenario in [None, Some(&s)] {
+            assert!(matches!(
+                solve(
+                    &mut DpWorkspace::new(),
+                    &t,
+                    scenario,
+                    &BufferLibrary::new(),
+                    &BuffOptOptions::default()
+                ),
+                Err(CoreError::EmptyLibrary)
+            ));
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! The van Ginneken-style dynamic-programming engine shared by
-//! [`crate::delayopt`] (no noise checks — the paper's baseline) and
-//! [`crate::buffopt`] (Algorithm 3).
+//! The van Ginneken-style dynamic-programming engine behind
+//! [`crate::buffopt::solve`]: Algorithm 3, or the paper's DelayOpt
+//! baseline when it runs without noise checks.
 //!
 //! Candidates are the paper's 5-tuples `(C, q, I, NS, M)` extended with the
 //! Lillis buffer count, so one bottom-up pass yields the best solution *for
@@ -1506,51 +1506,27 @@ fn store_frontier(
     table.store(plan.digests.canonical(v), plan.digests.eval_sig(v), rows);
 }
 
-/// Runs the DP with a throwaway scratch. Prefer [`run_with`] plus a
-/// reused [`DpScratch`] on hot paths.
-pub(crate) fn run(
-    tree: &RoutingTree,
-    scenario: Option<&NoiseScenario>,
-    lib: &BufferLibrary,
-    cfg: &DpConfig,
-    budget: &RunBudget,
-) -> Result<(Vec<SourceCand>, DpStats), CoreError> {
-    run_with(&mut DpScratch::default(), tree, scenario, lib, cfg, budget)
-}
-
 /// Runs the DP over `tree` and returns every feasible source solution,
 /// reduced to the best slack per buffer count (ascending count).
 ///
 /// With `cfg.noise` set, `scenario` must match the tree and all returned
 /// solutions satisfy every noise constraint.
-pub(crate) fn run_with(
-    scratch: &mut DpScratch,
-    tree: &RoutingTree,
-    scenario: Option<&NoiseScenario>,
-    lib: &BufferLibrary,
-    cfg: &DpConfig,
-    budget: &RunBudget,
-) -> Result<(Vec<SourceCand>, DpStats), CoreError> {
-    run_with_memo(scratch, tree, scenario, lib, cfg, budget, None)
-}
-
-/// [`run_with`] consulting a cross-request subtree memo table.
 ///
-/// At every eligible merge point whose subtree digest hits the table (and
-/// whose evaluation signature matches — see `buffopt-memo`), the stored
-/// pruned frontier is re-materialized with fresh provenance and the
-/// subtree below is skipped entirely; misses run normally and snapshot
-/// their frontier for the next run. Seeded runs return solutions
-/// bitwise-identical to cold runs (the differential tests assert this);
-/// only the run *statistics* may differ, since skipped subtrees
-/// contribute no peak-candidate or merge-product samples.
+/// With a `memo` table, at every eligible merge point whose subtree digest
+/// hits the table (and whose evaluation signature matches — see
+/// `buffopt-memo`), the stored pruned frontier is re-materialized with
+/// fresh provenance and the subtree below is skipped entirely; misses run
+/// normally and snapshot their frontier for the next run. Seeded runs
+/// return solutions bitwise-identical to cold runs (the differential
+/// tests assert this); only the run *statistics* may differ, since
+/// skipped subtrees contribute no peak-candidate or merge-product samples.
 ///
 /// Memoization is silently disabled when the table is absent or budget-0,
 /// or when `budget.max_arena_bytes` is set: the arena-byte clamp is
 /// whole-run state that a subtree-keyed entry cannot bind, unlike the
 /// subtree-pure `max_candidates`/`degrade` knobs which are folded into
 /// the digest seed.
-pub(crate) fn run_with_memo(
+pub(crate) fn run(
     scratch: &mut DpScratch,
     tree: &RoutingTree,
     scenario: Option<&NoiseScenario>,

@@ -151,7 +151,7 @@ pub fn run_arena(
     budget: &RunBudget,
     ws: &mut DpWorkspace,
 ) -> Result<(Vec<EngineSolution>, EngineStats), CoreError> {
-    let (cands, stats) = dp::run_with(&mut ws.dp, tree, scenario, lib, &cfg.to_dp(), budget)?;
+    let (cands, stats) = dp::run(&mut ws.dp, tree, scenario, lib, &cfg.to_dp(), budget, None)?;
     let out = cands
         .into_iter()
         .map(|c| EngineSolution {

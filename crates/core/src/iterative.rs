@@ -25,7 +25,7 @@ use buffopt_tree::{NodeId, RoutingTree};
 use crate::assignment::Assignment;
 use crate::audit;
 use crate::budget::RunBudget;
-use crate::delayopt::Solution;
+use crate::buffopt::Solution;
 use crate::error::CoreError;
 use crate::probe::IncrementalAudit;
 
@@ -233,7 +233,7 @@ fn greedy_resweep(
 mod tests {
     use super::*;
     use crate::buffopt::{self as algo3, BuffOptOptions};
-    use crate::delayopt::{self, DelayOptOptions};
+    use crate::workspace::DpWorkspace;
     use buffopt_buffers::catalog;
     use buffopt_tree::{segment, Driver, SinkSpec, Technology, TreeBuilder};
 
@@ -249,6 +249,20 @@ mod tests {
 
     fn estimation(t: &RoutingTree) -> NoiseScenario {
         NoiseScenario::estimation(t, 0.7, 7.2e9)
+    }
+
+    /// DelayOpt: the DP's best slack without noise constraints.
+    fn delay_optimum(t: &RoutingTree, lib: &BufferLibrary) -> f64 {
+        algo3::solve(
+            &mut DpWorkspace::new(),
+            t,
+            None,
+            lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("dp")
+        .max_slack()
+        .slack
     }
 
     #[test]
@@ -268,12 +282,11 @@ mod tests {
                 },
             )
             .expect("greedy always returns without noise mode");
-            let dp = delayopt::optimize(&t, &lib, &DelayOptOptions::default()).expect("dp");
+            let dp = delay_optimum(&t, &lib);
             assert!(
-                greedy.slack <= dp.slack + 1e-15,
-                "greedy {} beat the optimal DP {} at len {len}",
+                greedy.slack <= dp + 1e-15,
+                "greedy {} beat the optimal DP {dp} at len {len}",
                 greedy.slack,
-                dp.slack
             );
         }
     }
@@ -298,7 +311,15 @@ mod tests {
             .expect("audit")
             .has_violation());
         // The DP's Problem 3 answer uses no more buffers than greedy.
-        let dp = algo3::min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("dp");
+        let f = algo3::solve(
+            &mut DpWorkspace::new(),
+            &t,
+            Some(&s),
+            &lib,
+            &Default::default(),
+        )
+        .expect("dp");
+        let dp = f.fewest_meeting().unwrap_or_else(|| f.max_slack());
         assert!(dp.buffers <= sol.buffers);
     }
 
@@ -322,8 +343,7 @@ mod tests {
                 },
             )
             .expect("greedy");
-            let dp = delayopt::optimize(&t, &lib, &DelayOptOptions::default()).expect("dp");
-            if dp.slack > greedy.slack + 1e-12 {
+            if delay_optimum(&t, &lib) > greedy.slack + 1e-12 {
                 found_gap = true;
                 break;
             }

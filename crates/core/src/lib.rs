@@ -11,11 +11,13 @@
 //!   candidate tuples `(I, NS, M)` propagate bottom-up; when merging two
 //!   branches would violate, both branch-buffer alternatives are kept.
 //! * [`buffopt`] (Algorithm 3) — van Ginneken dynamic programming over
-//!   5-tuples `(C, q, I, NS, M)`: maximize source timing slack subject to
-//!   every noise constraint. The same engine provides **DelayOpt** (no
-//!   noise checks — the paper's baseline), the Lillis buffer-count-indexed
-//!   variant `DelayOpt(k)`, and the Problem 3 solver (fewest buffers such
-//!   that noise *and* timing are met).
+//!   5-tuples `(C, q, I, NS, M)`. One entry point, [`buffopt::solve`],
+//!   runs the buffer-count-indexed DP once and returns the source
+//!   frontier; Problem 2 (maximum slack under every noise constraint),
+//!   Problem 3 (fewest buffers such that noise *and* timing are met) and
+//!   the Lillis per-count tables are selections on it. Without a noise
+//!   scenario the same run is **DelayOpt**, the paper's baseline, and
+//!   `DelayOpt(k)` is a buffer cap.
 //! * [`audit`] — independent re-analysis of a buffered net (delay and
 //!   Devgan noise recomputed from scratch by splitting the tree at its
 //!   restoring stages); every optimizer result in the test-suite is
@@ -27,7 +29,8 @@
 //! use buffopt_tree::{TreeBuilder, Driver, SinkSpec, Wire, Technology, segment};
 //! use buffopt_noise::NoiseScenario;
 //! use buffopt_buffers::catalog;
-//! use buffopt::buffopt::BuffOptOptions;
+//! use buffopt::buffopt::{self as algo3, BuffOptOptions};
+//! use buffopt::DpWorkspace;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A 6 mm two-pin net on the global layer.
@@ -38,8 +41,14 @@
 //!
 //! let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
 //! let lib = catalog::ibm_like();
-//! let sol = buffopt::buffopt::optimize(&tree, &scenario, &lib, &BuffOptOptions::default())?;
-//! assert!(sol.meets_noise);
+//! let mut ws = DpWorkspace::new();
+//! let frontier = algo3::solve(&mut ws, &tree, Some(&scenario), &lib, &BuffOptOptions::default())?;
+//! let p2 = frontier.max_slack(); // Problem 2: best slack, noise-clean
+//! assert!(p2.meets_noise);
+//! if let Some(p3) = frontier.fewest_meeting() {
+//!     // Problem 3: fewest buffers meeting noise and timing.
+//!     assert!(p3.buffers <= p2.buffers && p3.slack >= 0.0);
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -56,7 +65,6 @@ mod budget;
 pub mod buffopt;
 mod candidate;
 mod climb;
-pub mod delayopt;
 #[cfg(test)]
 mod difftest;
 mod dp;
@@ -67,6 +75,8 @@ pub mod feasibility;
 pub mod iterative;
 #[cfg(test)]
 mod memotest;
+#[cfg(test)]
+mod oracle;
 mod probe;
 mod rebuild;
 pub mod wiresize;
@@ -74,8 +84,8 @@ mod workspace;
 
 pub use assignment::Assignment;
 pub use budget::RunBudget;
+pub use buffopt::Solution;
 pub use buffopt_analysis::{CancelReason, CancelToken};
 pub use buffopt_memo::{MemoStats, MemoTable};
-pub use delayopt::Solution;
 pub use error::{BudgetResource, CoreError};
 pub use workspace::{DpWork, DpWorkspace};

@@ -80,11 +80,11 @@ fn assert_seeded_equals_cold(
 ) {
     let lib = catalog::ibm_like();
     let mut ws = DpWorkspace::new();
-    let cold = dp::run_with(&mut ws.dp, tree, scenario, &lib, cfg, budget);
+    let cold = dp::run(&mut ws.dp, tree, scenario, &lib, cfg, budget, None);
     let table = MemoTable::new(64 << 20, 4);
-    let warm = dp::run_with_memo(&mut ws.dp, tree, scenario, &lib, cfg, budget, Some(&table));
+    let warm = dp::run(&mut ws.dp, tree, scenario, &lib, cfg, budget, Some(&table));
     let stores = table.stats().stores;
-    let seeded = dp::run_with_memo(&mut ws.dp, tree, scenario, &lib, cfg, budget, Some(&table));
+    let seeded = dp::run(&mut ws.dp, tree, scenario, &lib, cfg, budget, Some(&table));
     if stores > 0 {
         assert!(
             table.stats().hits > 0,
@@ -224,7 +224,7 @@ fn memo_is_disabled_under_arena_byte_caps() {
         .with_max_arena_bytes(64 << 20)
         .with_degrade();
     let mut ws = DpWorkspace::new();
-    dp::run_with_memo(
+    dp::run(
         &mut ws.dp,
         &tree,
         Some(&scenario),
@@ -265,7 +265,7 @@ fn config_seed_partitions_the_table() {
         max_buffers: Some(2),
         ..DpConfig::default()
     };
-    dp::run_with_memo(
+    dp::run(
         &mut ws.dp,
         &tree,
         Some(&scenario),
@@ -277,7 +277,7 @@ fn config_seed_partitions_the_table() {
     .expect("warm run succeeds");
     assert!(table.stats().stores > 0, "warm run stores frontiers");
     let hits_before = table.stats().hits;
-    dp::run_with_memo(
+    dp::run(
         &mut ws.dp,
         &tree,
         Some(&scenario),

@@ -364,7 +364,15 @@ mod tests {
         let t = net(12_000.0, 10);
         let s = estimation(&t);
         let lib = catalog::ibm_like();
-        let plain = algo3::optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("plain");
+        let plain = algo3::solve(
+            &mut crate::DpWorkspace::new(),
+            &t,
+            Some(&s),
+            &lib,
+            &BuffOptOptions::default(),
+        )
+        .expect("plain")
+        .max_slack();
         let sized = optimize(
             &t,
             &s,

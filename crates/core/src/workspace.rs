@@ -5,9 +5,10 @@
 //! cheap but not free — batch pipelines and server workers run thousands
 //! of nets, and the allocator traffic was the dominant setup cost after
 //! the arena rewrite removed `PSet`. A [`DpWorkspace`] owns all of that
-//! scratch; thread one through the `*_with` optimizer entry points
-//! ([`crate::buffopt::optimize_with`], [`crate::delayopt::optimize_with`],
-//! …) and steady-state runs allocate (almost) nothing.
+//! scratch; every optimizer entry point takes one
+//! ([`crate::buffopt::solve`], [`crate::buffopt::min_cost`],
+//! [`crate::algorithm2::avoid_noise_budgeted_with`]), so steady-state runs
+//! allocate (almost) nothing.
 //!
 //! A workspace is plain mutable state — not `Sync` — so give each worker
 //! thread its own. Every run fully resets the scratch on entry, which

@@ -110,7 +110,7 @@ use std::time::Duration;
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
 use buffopt::iterative::{self, IterativeOptions};
-use buffopt::{algorithm2, audit, Assignment, CoreError, RunBudget};
+use buffopt::{algorithm2, audit, Assignment, CoreError, DpWorkspace};
 use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_netlist::parse;
 use buffopt_noise::NoiseScenario;
@@ -161,21 +161,6 @@ struct Args {
 }
 
 impl Args {
-    fn budget(&self) -> RunBudget {
-        // The time limit stays relative here; the optimizer arms it into
-        // a deadline when the net is dequeued, so in single-net mode the
-        // behavior is unchanged and in pooled modes queue wait is free.
-        RunBudget {
-            deadline: None,
-            time_limit: self.time_limit_ms.map(Duration::from_millis),
-            max_candidates: self.max_candidates,
-            max_tree_nodes: self.max_tree_nodes,
-            max_arena_bytes: self.mem_budget_mb.map(|mb| mb << 20),
-            degrade: self.mem_budget_mb.is_some(),
-            ..RunBudget::default()
-        }
-    }
-
     /// The shared cross-net memo table, when enabled. Off by default:
     /// seeding changes which merges run, so per-record *peak statistics*
     /// become schedule-dependent under a shared table (solutions do not).
@@ -540,7 +525,7 @@ fn error_exit(_e: &CoreError) -> u8 {
     EXIT_INFEASIBLE
 }
 
-fn run_batch_mode(args: &Args, dir: &str) -> ExitCode {
+fn run_batch_mode(args: &Args, cfg: PipelineConfig, dir: &str) -> ExitCode {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
@@ -558,7 +543,7 @@ fn run_batch_mode(args: &Args, dir: &str) -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    let mut engine = Engine::new(args.pipeline_config(), args.engine_options());
+    let mut engine = Engine::new(cfg, args.engine_options());
 
     // Checkpoints from an interrupted run: content key → record line.
     let checkpointed = match &args.resume {
@@ -789,8 +774,9 @@ fn main() -> ExitCode {
     if args.serve {
         return run_serve_mode(&args);
     }
+    let cfg = args.pipeline_config();
     if let Some(dir) = args.batch.clone() {
-        return run_batch_mode(&args, &dir);
+        return run_batch_mode(&args, cfg, &dir);
     }
     let file = args.file.as_deref().expect("checked in parse_args");
     let text = match std::fs::read_to_string(file) {
@@ -817,16 +803,22 @@ fn main() -> ExitCode {
     if args.dump {
         print!("{}", buffopt_tree::render(&net.tree));
     }
-    let budget = args.budget();
+    let mut ws = DpWorkspace::new();
 
     if args.mode == Mode::Noise {
         // Continuous-position noise avoidance on the raw tree.
-        match algorithm2::avoid_noise_budgeted(&net.tree, &net.scenario, &args.library, &budget) {
+        match algorithm2::avoid_noise_budgeted_with(
+            &mut ws,
+            &net.tree,
+            &net.scenario,
+            &cfg.library,
+            &cfg.budget(),
+        ) {
             Ok(sol) => {
                 let (noise_ok, referee_ok) = report(
                     &sol.tree,
                     &sol.scenario,
-                    &args.library,
+                    &cfg.library,
                     &sol.assignment,
                     args.verify,
                 );
@@ -854,19 +846,23 @@ fn main() -> ExitCode {
     let tree = seg.tree;
     let opts = BuffOptOptions {
         max_buffers: None,
-        conservative_pruning: args.conservative,
-        polarity_aware: args.polarity,
-        budget,
-        memo: args.memo_table(),
+        conservative_pruning: cfg.conservative,
+        polarity_aware: cfg.polarity,
+        budget: cfg.budget(),
+        memo: cfg.memo.clone(),
     };
+    let lib = &cfg.library;
     let sol = match args.mode {
-        Mode::P2 => algo3::optimize(&tree, &scenario, &args.library, &opts),
-        Mode::P3 => algo3::min_buffers(&tree, &scenario, &args.library, &opts),
-        Mode::Cost => algo3::min_cost(&tree, &scenario, &args.library, &opts),
+        Mode::P2 => {
+            algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts).map(|f| f.max_slack())
+        }
+        Mode::P3 => algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts)
+            .map(|f| f.fewest_meeting().unwrap_or_else(|| f.max_slack())),
+        Mode::Cost => algo3::min_cost(&mut ws, &tree, &scenario, lib, &opts),
         Mode::Greedy => iterative::optimize(
             &tree,
             &scenario,
-            &args.library,
+            lib,
             &IterativeOptions {
                 noise: true,
                 max_buffers: None,
@@ -878,13 +874,8 @@ fn main() -> ExitCode {
     };
     match sol {
         Ok(sol) => {
-            let (noise_ok, referee_ok) = report(
-                &tree,
-                &scenario,
-                &args.library,
-                &sol.assignment,
-                args.verify,
-            );
+            let (noise_ok, referee_ok) =
+                report(&tree, &scenario, lib, &sol.assignment, args.verify);
             if sol.slack < 0.0 {
                 eprintln!("warning: timing not met (slack {:.1} ps)", sol.slack * 1e12);
             }

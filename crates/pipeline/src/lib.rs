@@ -15,7 +15,10 @@
 //! 1. [`Rung::Problem3`] — BuffOpt's production mode: fewest buffers
 //!    meeting *both* noise and timing. Serves the net when slack ≥ 0.
 //! 2. [`Rung::Problem2`] — maximum slack under noise constraints; accepted
-//!    even when timing is unmeetable (negative slack ⇒ degraded).
+//!    even when timing is unmeetable (negative slack ⇒ degraded). Rungs 1
+//!    and 2 are two selections on one DP run ([`buffopt::buffopt::solve`]),
+//!    so a net that misses timing costs one DP, and a net whose DP fails
+//!    records that failure once, as its Problem 3 attempt.
 //! 3. [`Rung::NoiseOnly`] — Algorithm 2 continuous noise avoidance on the
 //!    unsegmented tree: ignores timing entirely, but leaves the net
 //!    functionally correct.
@@ -129,11 +132,12 @@ impl PipelineConfig {
         }
     }
 
-    /// The budget for one net. The time limit is carried as a relative
-    /// `Duration`; [`optimize_net`] arms it when the net actually starts
-    /// running, so a net that waited in a queue keeps its whole
-    /// allowance.
-    fn budget(&self) -> RunBudget {
+    /// The budget for one net, and the one place that decides it: an
+    /// arena byte cap turns on degrade-in-place. The time limit is carried
+    /// as a relative `Duration`; the optimizer arms it when the net
+    /// actually starts running, so a net that waited in a queue keeps its
+    /// whole allowance.
+    pub fn budget(&self) -> RunBudget {
         RunBudget {
             deadline: None,
             time_limit: self.time_limit,
@@ -589,11 +593,14 @@ fn optimize_net_cancellable(
     };
 
     if let Ok((work_tree, work_scenario)) = &segmented {
-        // Rung 1 — Problem 3: fewest buffers meeting noise AND timing.
+        // One DP run serves rungs 1 and 2: Problem 3 and Problem 2 are two
+        // reads of the same source frontier.
         match guarded(|| {
-            algo3::min_buffers_with(ws, work_tree, work_scenario, &cfg.library, &options)
+            let f = algo3::solve(ws, work_tree, Some(work_scenario), &cfg.library, &options)?;
+            Ok(f.fewest_meeting().ok_or_else(|| f.max_slack()))
         }) {
-            Ok(sol) if sol.slack >= 0.0 => {
+            // Rung 1 — Problem 3: fewest buffers meeting noise AND timing.
+            Ok(Ok(sol)) => {
                 return finish(
                     ws,
                     out,
@@ -606,51 +613,26 @@ fn optimize_net_cancellable(
                     start,
                 );
             }
-            Ok(sol) if sol.degraded_by.is_some() => {
-                // Resource pressure already tightened this run's search;
-                // lower rungs share the same budget and would hit the same
-                // wall. Serve the feasible-but-suboptimal result and record
-                // which cap tripped instead of rerunning.
-                return finish(
-                    ws,
-                    out,
-                    Outcome::Degraded,
-                    Rung::Problem3,
-                    sol,
-                    work_tree,
-                    work_scenario,
-                    &cfg.library,
-                    start,
-                );
-            }
-            Ok(sol) => out.attempts.push(Attempt {
-                rung: Rung::Problem3,
-                error: format!("timing unmet: best noise-clean slack {:e} s", sol.slack),
-            }),
-            Err(e) => out.attempts.push(Attempt {
-                rung: Rung::Problem3,
-                error: e,
-            }),
-        }
-        if let Some(rec) = cancelled_record(&budget, &mut out, start) {
-            return rec;
-        }
-
-        // Rung 2 — Problem 2: maximize slack under noise; negative slack
-        // is accepted as a degraded (noise-clean) result.
-        match guarded(|| algo3::optimize_with(ws, work_tree, work_scenario, &cfg.library, &options))
-        {
-            Ok(sol) => {
-                let outcome = if sol.slack >= 0.0 {
-                    Outcome::Optimized
+            Ok(Err(sol)) => {
+                // No count meets timing, so the answer is the best-slack
+                // noise-clean solution (negative slack ⇒ degraded). When
+                // resource pressure tightened the search it is served as
+                // the Problem 3 result with the cap recorded; otherwise
+                // as rung 2, Problem 2.
+                let rung = if sol.degraded_by.is_some() {
+                    Rung::Problem3
                 } else {
-                    Outcome::Degraded
+                    out.attempts.push(Attempt {
+                        rung: Rung::Problem3,
+                        error: format!("timing unmet: best noise-clean slack {:e} s", sol.slack),
+                    });
+                    Rung::Problem2
                 };
                 return finish(
                     ws,
                     out,
-                    outcome,
-                    Rung::Problem2,
+                    Outcome::Degraded,
+                    rung,
                     sol,
                     work_tree,
                     work_scenario,
@@ -659,7 +641,7 @@ fn optimize_net_cancellable(
                 );
             }
             Err(e) => out.attempts.push(Attempt {
-                rung: Rung::Problem2,
+                rung: Rung::Problem3,
                 error: e,
             }),
         }
@@ -1088,13 +1070,30 @@ mod tests {
     #[test]
     fn impossible_timing_degrades_to_problem_two() {
         let t = two_pin(20_000.0, 1e-12, 0.8); // RAT below flight time
-        let o = optimize_net("tight", &t, &estimation(&t), &cfg());
+        let s = estimation(&t);
+        let o = optimize_net("tight", &t, &s, &cfg());
         assert_eq!(o.outcome, Outcome::Degraded);
         assert_eq!(o.rung, Some(Rung::Problem2));
         assert_eq!(o.attempts.len(), 1);
         assert_eq!(o.attempts[0].rung, Rung::Problem3);
         assert!(o.slack.unwrap() < 0.0);
         assert!(o.worst_headroom.unwrap() >= 0.0, "noise still clean");
+        // The served solution is Problem 2 read off the same frontier.
+        let seg = segment::segment_wires(&t, 500.0).expect("segment");
+        let s_seg = s.for_segmented(&seg);
+        let p2 = algo3::solve(
+            &mut DpWorkspace::new(),
+            &seg.tree,
+            Some(&s_seg),
+            &cfg().library,
+            &BuffOptOptions::default(),
+        )
+        .expect("solve")
+        .max_slack();
+        let served = o.solution.expect("served solution");
+        assert_eq!(served.assignment, p2.assignment);
+        assert_eq!(served.slack.to_bits(), p2.slack.to_bits());
+        assert_eq!(served.buffers, p2.buffers);
     }
 
     #[test]
@@ -1108,7 +1107,9 @@ mod tests {
         assert_eq!(o.rung, Some(Rung::Unbuffered));
         assert_eq!(o.buffers, Some(0));
         assert!(o.worst_headroom.unwrap() < 0.0, "diagnosis shows violation");
-        assert!(o.attempts.len() >= 3, "{:?}", o.attempts);
+        // One DP run, so one DP attempt; then Algorithm 2.
+        let rungs: Vec<Rung> = o.attempts.iter().map(|a| a.rung).collect();
+        assert_eq!(rungs, [Rung::Problem3, Rung::NoiseOnly], "{:?}", o.attempts);
         assert!(o.error.as_deref().unwrap().contains("headroom"));
     }
 
@@ -1326,20 +1327,36 @@ mod tests {
     }
 
     /// A branchy net (the memo only engages at 2-child merge points).
-    fn y_net(trunk: f64, arm: f64) -> RoutingTree {
+    fn y_net(trunk: f64, arm: f64, rat: f64) -> RoutingTree {
         let tech = Technology::global_layer();
         let mut b = TreeBuilder::new(Driver::new(300.0, 10e-12));
         let j = b.add_internal(b.source(), tech.wire(trunk)).expect("trunk");
-        b.add_sink(j, tech.wire(arm), SinkSpec::new(20e-15, 2.5e-9, 0.8))
+        b.add_sink(j, tech.wire(arm), SinkSpec::new(20e-15, rat, 0.8))
             .expect("far sink");
-        b.add_sink(j, tech.wire(arm * 1.3), SinkSpec::new(15e-15, 2.5e-9, 0.8))
+        b.add_sink(j, tech.wire(arm * 1.3), SinkSpec::new(15e-15, rat, 0.8))
             .expect("near sink");
         b.build().expect("tree")
     }
 
     #[test]
+    fn timing_unmet_net_runs_the_dp_once() {
+        // Problem 3 misses timing, so the net is served from rung 2. With a
+        // fresh memo table a second DP run would hit the first run's
+        // stores; one run only stores.
+        let t = y_net(6_000.0, 4_000.0, 1e-12);
+        let table = std::sync::Arc::new(buffopt::MemoTable::new(32 << 20, 4));
+        let mut c = cfg();
+        c.memo = Some(table.clone());
+        let o = optimize_net("y-tight", &t, &estimation(&t), &c);
+        assert_eq!(o.rung, Some(Rung::Problem2));
+        let stats = table.stats();
+        assert_eq!(stats.hits, 0, "{stats:?}");
+        assert!(stats.stores >= 1, "{stats:?}");
+    }
+
+    #[test]
     fn shared_memo_table_preserves_solutions_and_counts_hits() {
-        let t = y_net(6_000.0, 4_000.0);
+        let t = y_net(6_000.0, 4_000.0, 2.5e-9);
         let s = estimation(&t);
         let cold = optimize_net("y", &t, &s, &cfg());
 
@@ -1428,8 +1445,16 @@ mod tests {
         // Reproduce rung 1 by hand on the identically segmented tree.
         let seg = segment::segment_wires(&t, 500.0).expect("segment");
         let s_seg = s.for_segmented(&seg);
-        let direct = algo3::min_buffers(&seg.tree, &s_seg, &c.library, &BuffOptOptions::default())
-            .expect("direct");
+        let direct = algo3::solve(
+            &mut DpWorkspace::new(),
+            &seg.tree,
+            Some(&s_seg),
+            &c.library,
+            &BuffOptOptions::default(),
+        )
+        .expect("direct")
+        .fewest_meeting()
+        .expect("timing met");
         assert_eq!(o.buffers, Some(direct.buffers));
         assert!((o.slack.unwrap() - direct.slack).abs() < 1e-18);
     }

@@ -8,6 +8,7 @@
 //! ```
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
+use buffopt::DpWorkspace;
 use buffopt_buffers::catalog;
 use buffopt_noise::metric::NoiseReport;
 use buffopt_steiner::coupling::{extract_scenario, AggressorTrack, CouplingModel};
@@ -18,6 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let len = 7_000.0;
     let tech = Technology::global_layer();
     let lib = catalog::ibm_like();
+    let mut ws = DpWorkspace::new();
     let model = CouplingModel::default();
     let mu = 1.8 / 0.25e-9; // 7.2 V/ns edges on the neighbours
 
@@ -54,8 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Optimize on a segmented copy.
         let seg = segment::segment_wires(&routed.tree, 500.0)?;
         let s2 = scenario.for_segmented(&seg);
-        let buffers = match algo3::min_buffers(&seg.tree, &s2, &lib, &BuffOptOptions::default()) {
-            Ok(sol) => sol.buffers.to_string(),
+        let opts = BuffOptOptions::default();
+        let buffers = match algo3::solve(&mut ws, &seg.tree, Some(&s2), &lib, &opts) {
+            Ok(f) => f
+                .fewest_meeting()
+                .unwrap_or_else(|| f.max_slack())
+                .buffers
+                .to_string(),
             Err(_) => "infeasible".to_string(),
         };
         println!(

@@ -7,10 +7,9 @@
 //! cargo run --release --example design_sweep
 //! ```
 
-use buffopt::delayopt::{self, DelayOptOptions};
-use buffopt::Assignment;
+use buffopt::{Assignment, DpWorkspace};
 use buffopt_bench::{
-    audited_max_delay, metric_violations, prepare, run_buffopt, run_delayopt_k, secs,
+    audited_max_delay, delayopt_k, metric_violations, prepare, run_buffopt, run_delayopt_k, secs,
     ExperimentSetup,
 };
 
@@ -53,6 +52,7 @@ fn main() {
     let mut red_b = 0.0;
     let mut red_d = 0.0;
     let mut counted = 0;
+    let mut ws = DpWorkspace::new();
     for (net, sol) in nets.iter().zip(&b.solutions) {
         let Some(sol) = sol else { continue };
         if sol.buffers == 0 {
@@ -60,15 +60,8 @@ fn main() {
         }
         let base = audited_max_delay(&net.tree, &setup.library, &Assignment::empty(&net.tree));
         red_b += base - audited_max_delay(&net.tree, &setup.library, &sol.assignment);
-        let d = delayopt::optimize(
-            &net.tree,
-            &setup.library,
-            &DelayOptOptions {
-                max_buffers: Some(sol.buffers),
-                ..Default::default()
-            },
-        )
-        .expect("delay-only always solves");
+        let d = delayopt_k(&mut ws, &net.tree, &setup.library, sol.buffers)
+            .expect("delay-only always solves");
         red_d += base - audited_max_delay(&net.tree, &setup.library, &d.assignment);
         counted += 1;
     }

@@ -7,7 +7,7 @@
 //! ```
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
-use buffopt::{audit, Assignment};
+use buffopt::{audit, Assignment, DpWorkspace};
 use buffopt_buffers::catalog;
 use buffopt_sim::referee::{self, RefereeOptions};
 use buffopt_tree::segment;
@@ -49,7 +49,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         unbuffered_noise.worst_headroom() * 1e3
     );
 
-    let sol = algo3::min_buffers(&tree, &scenario, &lib, &BuffOptOptions::default())?;
+    let frontier = algo3::solve(
+        &mut DpWorkspace::new(),
+        &tree,
+        Some(&scenario),
+        &lib,
+        &BuffOptOptions::default(),
+    )?;
+    let sol = frontier
+        .fewest_meeting()
+        .unwrap_or_else(|| frontier.max_slack());
     let d = audit::delay(&tree, &lib, &sol.assignment).expect("audit");
     let n = audit::noise(&tree, &scenario, &lib, &sol.assignment).expect("audit");
     println!(

@@ -26,11 +26,18 @@
 # answer, or any pair's digests differed.
 #
 # The summary is also appended as one row to BENCH_perfbench.json at the
-# repository root (created if missing): both revisions (the change is
-# `git describe --dirty` of the working tree), workload, pairs, seconds,
+# repository root (created if missing): both revisions, workload, pairs, seconds,
 # seeds, per-side nets_per_s median and quartiles, the median ratio and
 # its quartiles, the win count, whether every digest agreed and every
-# answer was correct, the host's CPU and the UTC date.
+# answer was correct, the host's CPU and the UTC date. The change is named
+# by the code it measured: HEAD's commit id for a clean working tree, and
+# `<HEAD>+tree:<id>` for a dirty one (untracked files included), where
+# <id> is the git tree object of the working tree as `git add -A` would
+# stage it. A commit with exactly that content has the same tree, so
+# `git rev-parse <commit>^{tree}` matches the row to it. Appending the row
+# changes BENCH_perfbench.json, and so the tree: commit the measured code
+# before the rows, or compare with `git diff --stat <id> <commit>` in the
+# clone that ran the pairs (the tree object is written there).
 #
 # Environment:
 #   SEED0             first seed (default 1)
@@ -55,7 +62,16 @@ cd "$(dirname "$0")/.."
 repo=$(pwd)
 record=$repo/BENCH_perfbench.json
 parent_id=$(git rev-parse --short=12 "$parent_rev")
-change_id=$(git describe --always --dirty --abbrev=12)
+change_id=$(git rev-parse --short=12 HEAD)
+if [[ -n $(git status --porcelain --untracked-files=all) ]]; then
+    # Stage the working tree into a scratch copy of the index, so the real
+    # index is untouched, and name the tree git would commit.
+    index=$(mktemp "${TMPDIR:-/tmp}/bench_paired_index.XXXXXX")
+    cp "$(git rev-parse --git-path index)" "$index"
+    GIT_INDEX_FILE=$index git add -A
+    change_id="$change_id+tree:$(GIT_INDEX_FILE=$index git write-tree)"
+    rm -f "$index"
+fi
 host="$(nproc) cores, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
 
 if [[ -n ${BENCH_PAIRED_DIR:-} ]]; then

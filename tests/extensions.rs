@@ -4,10 +4,22 @@
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
 use buffopt::wiresize::{self, WireSizeOptions};
-use buffopt::{audit, Assignment};
+use buffopt::{audit, Assignment, DpWorkspace, Solution};
 use buffopt_buffers::{BufferId, BufferLibrary, BufferType};
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, NodeId, RoutingTree, SinkSpec, Technology, TreeBuilder};
+
+/// Problem 2: one DP run on a fresh workspace, read as its best slack.
+fn max_slack(
+    t: &RoutingTree,
+    s: &NoiseScenario,
+    lib: &BufferLibrary,
+    opts: &BuffOptOptions,
+) -> Solution {
+    algo3::solve(&mut DpWorkspace::new(), t, Some(s), lib, opts)
+        .expect("solves")
+        .max_slack()
+}
 
 fn small_net(len: f64, pieces: usize, rat: f64) -> RoutingTree {
     let tech = Technology::global_layer();
@@ -78,7 +90,7 @@ fn polarity_dp_matches_exhaustive() {
     });
     assert!(best > f64::NEG_INFINITY, "a legal assignment exists");
 
-    let sol = algo3::optimize(
+    let sol = max_slack(
         &t,
         &s,
         &lib,
@@ -87,8 +99,7 @@ fn polarity_dp_matches_exhaustive() {
             conservative_pruning: true, // exactness for the comparison
             ..BuffOptOptions::default()
         },
-    )
-    .expect("solves");
+    );
     assert!(
         (sol.slack - best).abs() < 1e-14,
         "DP {} vs exhaustive {}",
@@ -123,6 +134,7 @@ fn min_cost_matches_exhaustive() {
     assert!(best_cost < f64::INFINITY, "a feasible assignment exists");
 
     let sol = algo3::min_cost(
+        &mut DpWorkspace::new(),
         &t,
         &s,
         &lib,
@@ -209,8 +221,8 @@ fn polarity_strictness_ordering() {
     let t = small_net(15_000.0, 12, 2e-9);
     let s = estimation(&t);
     let lib = catalog::ibm_like();
-    let free = algo3::optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("free");
-    let polar = algo3::optimize(
+    let free = max_slack(&t, &s, &lib, &BuffOptOptions::default());
+    let polar = max_slack(
         &t,
         &s,
         &lib,
@@ -218,13 +230,11 @@ fn polarity_strictness_ordering() {
             polarity_aware: true,
             ..BuffOptOptions::default()
         },
-    )
-    .expect("polar");
+    );
     assert!(polar.slack <= free.slack + 1e-15);
     // Non-inverting-only is a legal polarity-aware solution space, so the
     // polarity-aware optimum is at least as good.
-    let ni = algo3::optimize(&t, &s, &lib.non_inverting(), &BuffOptOptions::default())
-        .expect("non-inverting");
+    let ni = max_slack(&t, &s, &lib.non_inverting(), &BuffOptOptions::default());
     assert!(polar.slack >= ni.slack - 1e-13);
 }
 
@@ -234,8 +244,13 @@ fn cost_and_count_objectives_are_consistent() {
     let t = small_net(18_000.0, 14, 3e-9);
     let s = estimation(&t);
     let lib = catalog::ibm_like();
-    let by_count = algo3::min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("count");
-    let by_cost = algo3::min_cost(&t, &s, &lib, &BuffOptOptions::default()).expect("cost");
+    let opts = BuffOptOptions::default();
+    let mut ws = DpWorkspace::new();
+    let by_count = algo3::solve(&mut ws, &t, Some(&s), &lib, &opts)
+        .expect("count")
+        .fewest_meeting()
+        .expect("timing met");
+    let by_cost = algo3::min_cost(&mut ws, &t, &s, &lib, &opts).expect("cost");
     // Cost optimum may use more (smaller) buffers but never costs more.
     assert!(by_cost.cost <= by_count.cost + 1e-9);
     for sol in [&by_count, &by_cost] {

@@ -2,7 +2,7 @@
 //! core invariants every component must satisfy regardless of input.
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
-use buffopt::{algorithm1, algorithm2, audit, Assignment};
+use buffopt::{algorithm1, algorithm2, audit, Assignment, DpWorkspace, Solution};
 use buffopt_buffers::{BufferLibrary, BufferType};
 use buffopt_noise::{metric, NoiseScenario};
 use buffopt_sim::referee::{self, RefereeOptions};
@@ -10,6 +10,22 @@ use buffopt_tree::{
     elmore, segment, slack, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder,
 };
 use proptest::prelude::*;
+
+/// One DP run on a fresh workspace, read as its best slack: BuffOpt with
+/// a scenario, `DelayOpt(k)` without one.
+fn max_slack(
+    tree: &RoutingTree,
+    s: Option<&NoiseScenario>,
+    lib: &BufferLibrary,
+    max_buffers: Option<usize>,
+) -> Option<Solution> {
+    let opts = BuffOptOptions {
+        max_buffers,
+        ..BuffOptOptions::default()
+    };
+    let f = algo3::solve(&mut DpWorkspace::new(), tree, s, lib, &opts).ok()?;
+    Some(f.max_slack())
+}
 
 fn single_lib() -> BufferLibrary {
     BufferLibrary::single(BufferType::new("b", 10e-15, 200.0, 20e-12, 0.9))
@@ -110,7 +126,7 @@ proptest! {
         let seg = segment::segment_wires(&tree, 600.0).expect("segment");
         let s = NoiseScenario::estimation(&tree, 0.7, 7.2e9).for_segmented(&seg);
         let lib = single_lib();
-        if let Ok(sol) = algo3::optimize(&seg.tree, &s, &lib, &BuffOptOptions::default()) {
+        if let Some(sol) = max_slack(&seg.tree, Some(&s), &lib, None) {
             let d = audit::delay(&seg.tree, &lib, &sol.assignment).expect("audit");
             prop_assert!((sol.slack - d.slack).abs() < 1e-13);
             let n = audit::noise(&seg.tree, &s, &lib, &sol.assignment).expect("audit");
@@ -123,21 +139,18 @@ proptest! {
     /// best entry of the per-count table (Lillis indexed lists).
     #[test]
     fn per_count_prefix_best_monotone(tree in arb_net()) {
-        use buffopt::delayopt::{self, DelayOptOptions};
         let seg = segment::segment_wires(&tree, 800.0).expect("segment");
         let lib = buffopt_buffers::catalog::ibm_like();
-        let per = delayopt::optimize_per_count(&seg.tree, &lib, 5).expect("solves");
+        let opts = BuffOptOptions { max_buffers: Some(5), ..BuffOptOptions::default() };
+        let per = algo3::solve(&mut DpWorkspace::new(), &seg.tree, None, &lib, &opts)
+            .expect("solves")
+            .per_count(5);
         let table_best = per
             .iter()
             .flatten()
             .map(|s| s.slack)
             .fold(f64::NEG_INFINITY, f64::max);
-        let free = delayopt::optimize(
-            &seg.tree,
-            &lib,
-            &DelayOptOptions { max_buffers: Some(5), ..Default::default() },
-        )
-        .expect("solves");
+        let free = max_slack(&seg.tree, None, &lib, Some(5)).expect("solves");
         prop_assert!((free.slack - table_best).abs() < 1e-13,
             "capped optimum {} vs per-count best {}", free.slack, table_best);
         // Prefix best is monotone by construction; spot-check against
@@ -147,12 +160,7 @@ proptest! {
             if let Some(s) = sol {
                 prefix = prefix.max(s.slack);
             }
-            let capped = delayopt::optimize(
-                &seg.tree,
-                &lib,
-                &DelayOptOptions { max_buffers: Some(k), ..Default::default() },
-            )
-            .expect("solves");
+            let capped = max_slack(&seg.tree, None, &lib, Some(k)).expect("solves");
             prop_assert!((capped.slack - prefix).abs() < 1e-13,
                 "k={k}: capped {} vs prefix best {}", capped.slack, prefix);
         }

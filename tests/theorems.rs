@@ -1,8 +1,7 @@
 //! The paper's theorems, checked across crates.
 
-use buffopt::buffopt::{self as algo3, BuffOptOptions};
-use buffopt::delayopt::{self, DelayOptOptions};
-use buffopt::{algorithm1, algorithm2, audit, Assignment};
+use buffopt::buffopt::{self as algo3, BuffOptOptions, Frontier};
+use buffopt::{algorithm1, algorithm2, audit, Assignment, CoreError, DpWorkspace};
 use buffopt_buffers::{BufferLibrary, BufferType};
 use buffopt_noise::theorem1::{max_unbuffered_length, noise_across, MaxLength};
 use buffopt_noise::{metric, NoiseScenario};
@@ -14,6 +13,16 @@ fn single_lib() -> BufferLibrary {
 
 fn estimation(tree: &RoutingTree) -> NoiseScenario {
     NoiseScenario::estimation(tree, 0.7, 7.2e9)
+}
+
+/// One DP run on a fresh workspace; no scenario means DelayOpt.
+fn solve<'t>(
+    t: &'t RoutingTree,
+    s: Option<&NoiseScenario>,
+    lib: &BufferLibrary,
+    opts: &BuffOptOptions,
+) -> Result<Frontier<'t>, CoreError> {
+    algo3::solve(&mut DpWorkspace::new(), t, s, lib, opts)
 }
 
 fn two_pin(len: f64, rso: f64, nm: f64) -> RoutingTree {
@@ -69,7 +78,10 @@ fn theorem2_delay_optimal_buffering_can_violate_noise() {
     let t = seg.tree;
     let lib = single_lib();
 
-    let d = delayopt::optimize(&t, &lib, &DelayOptOptions::default()).expect("delay solves");
+    let opts = BuffOptOptions::default();
+    let d = solve(&t, None, &lib, &opts)
+        .expect("delay solves")
+        .max_slack();
     let d_noise = audit::noise(&t, &s, &lib, &d.assignment).expect("audit");
     assert!(
         d_noise.has_violation(),
@@ -77,7 +89,9 @@ fn theorem2_delay_optimal_buffering_can_violate_noise() {
         d_noise.worst_headroom()
     );
 
-    let b = algo3::optimize(&t, &s, &lib, &BuffOptOptions::default()).expect("buffopt solves");
+    let b = solve(&t, Some(&s), &lib, &opts)
+        .expect("buffopt solves")
+        .max_slack();
     let b_noise = audit::noise(&t, &s, &lib, &b.assignment).expect("audit");
     assert!(!b_noise.has_violation());
 }
@@ -106,8 +120,10 @@ fn theorem3_4_optimality_cross_check() {
         // The discrete DP on a fine grid can use at most one extra buffer.
         let seg = segment::segment_wires(&t, 200.0).expect("segment");
         let s_seg = s.for_segmented(&seg);
-        let p3 =
-            algo3::min_buffers(&seg.tree, &s_seg, &lib, &BuffOptOptions::default()).expect("dp");
+        let p3 = solve(&seg.tree, Some(&s_seg), &lib, &BuffOptOptions::default())
+            .expect("dp")
+            .fewest_meeting()
+            .expect("no timing constraint");
         assert!(p3.buffers >= a1.inserted(), "len {len}: DP beats optimum?");
         assert!(p3.buffers <= a1.inserted() + 1, "len {len}");
     }
@@ -142,22 +158,23 @@ fn theorem5_assumptions_matter_for_pruning() {
     let seg = segment::segment_wires(&t0, 800.0).expect("segment");
     let s = estimation(&t0).for_segmented(&seg);
     let t = seg.tree;
-    let conservative = algo3::optimize(
+    let conservative = solve(
         &t,
-        &s,
+        Some(&s),
         &lib,
         &BuffOptOptions {
             conservative_pruning: true,
             ..BuffOptOptions::default()
         },
     )
-    .expect("conservative pruning always finds the fix when one exists");
+    .expect("conservative pruning always finds the fix when one exists")
+    .max_slack();
     assert!(!audit::noise(&t, &s, &lib, &conservative.assignment)
         .expect("audit")
         .has_violation());
     // Paper pruning either fails or is no better.
-    if let Ok(paper) = algo3::optimize(&t, &s, &lib, &BuffOptOptions::default()) {
-        assert!(paper.slack <= conservative.slack + 1e-15);
+    if let Ok(paper) = solve(&t, Some(&s), &lib, &BuffOptOptions::default()) {
+        assert!(paper.max_slack().slack <= conservative.slack + 1e-15);
     }
 }
 
@@ -274,7 +291,8 @@ fn infeasible_sites_are_respected() {
     let t = b.build().expect("tree");
     let s = estimation(&t);
     let lib = single_lib();
-    let sol = algo3::min_buffers(&t, &s, &lib, &BuffOptOptions::default()).expect("solves");
+    let f = solve(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("solves");
+    let sol = f.fewest_meeting().unwrap_or_else(|| f.max_slack());
     for n in blocked {
         assert!(
             sol.assignment.buffer_at(n).is_none(),
