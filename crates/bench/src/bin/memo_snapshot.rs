@@ -88,7 +88,7 @@ fn options(memo: Option<Arc<MemoTable>>) -> BuffOptOptions {
 }
 
 /// Problem 2 on a fresh workspace, as every pass has always measured it.
-fn optimize(
+fn max_slack(
     tree: &RoutingTree,
     scenario: &NoiseScenario,
     lib: &BufferLibrary,
@@ -113,7 +113,7 @@ fn main() {
         for (tree, scenario) in &cases {
             // Infeasible nets participate too: the memo must replay the
             // error outcome identically, and its lookups still count.
-            let _ = optimize(tree, scenario, &lib, &options(memo.cloned()));
+            let _ = max_slack(tree, scenario, &lib, &options(memo.cloned()));
         }
     };
 
@@ -122,8 +122,8 @@ fn main() {
     family_pass(Some(&check_table)); // warm
     let mut optimized = 0usize;
     for (i, (tree, scenario)) in cases.iter().enumerate() {
-        let cold = optimize(tree, scenario, &lib, &options(None));
-        let seeded = optimize(
+        let cold = max_slack(tree, scenario, &lib, &options(None));
+        let seeded = max_slack(
             tree,
             scenario,
             &lib,

@@ -10,6 +10,7 @@
 //!   DelayOpt when no scenario is given;
 //! * [`Frontier::fewest_meeting`] — Problem 3, the production mode: the
 //!   fewest buffers such that noise *and* timing are met, slack second;
+//!   [`Frontier::min_buffers`] serves it with the best-slack fallback;
 //! * [`Frontier::per_count`] — `DelayOpt(k)` and BuffOpt per-count tables.
 //!
 //! [`min_cost`] is a different DP (cost tracking changes dominance), so it
@@ -166,6 +167,13 @@ impl Frontier<'_> {
             .map(|c| self.solution(c))
     }
 
+    /// Problem 3 as it is served: [`Frontier::fewest_meeting`], or the
+    /// [`Frontier::max_slack`] solution when no buffer count meets timing.
+    /// The result meets timing iff its slack is non-negative.
+    pub fn min_buffers(&self) -> Solution {
+        self.fewest_meeting().unwrap_or_else(|| self.max_slack())
+    }
+
     /// The best solution for every buffer count up to `k` (Lillis indexed
     /// lists): entry `j` holds the best solution using exactly `j`
     /// buffers, or `None` when none survives — a count whose best is no
@@ -257,8 +265,8 @@ pub fn optimize_with(
     Ok(solve(ws, tree, Some(scenario), lib, options)?.max_slack())
 }
 
-/// [`solve`] under noise, read as [`Frontier::fewest_meeting`] with the
-/// [`Frontier::max_slack`] fallback. Kept with this signature because the
+/// [`solve`] under noise, read as [`Frontier::min_buffers`]. Kept with
+/// this signature because the
 /// repository benchmark (`perfbench/src/layers.rs`) calls it; it goes
 /// once that benchmark moves to [`solve`].
 ///
@@ -272,8 +280,7 @@ pub fn min_buffers_with(
     lib: &BufferLibrary,
     options: &BuffOptOptions,
 ) -> Result<Solution, CoreError> {
-    let f = solve(ws, tree, Some(scenario), lib, options)?;
-    Ok(f.fewest_meeting().unwrap_or_else(|| f.max_slack()))
+    Ok(solve(ws, tree, Some(scenario), lib, options)?.min_buffers())
 }
 
 /// The Lillis power objective: the solution with the smallest **total
@@ -333,14 +340,15 @@ mod tests {
 
     /// Problem 3 with its best-slack fallback, as the ladder serves it.
     fn fewest(t: &RoutingTree, s: &NoiseScenario, lib: &BufferLibrary) -> Solution {
-        min_buffers_with(
+        solve(
             &mut DpWorkspace::new(),
             t,
-            s,
+            Some(s),
             lib,
             &BuffOptOptions::default(),
         )
         .expect("p3")
+        .min_buffers()
     }
 
     fn cheapest(t: &RoutingTree, s: &NoiseScenario, lib: &BufferLibrary) -> Solution {
@@ -669,6 +677,20 @@ mod tests {
     }
 
     // DelayOpt: the same run without a scenario.
+
+    #[test]
+    fn delayopt_dp_slack_matches_audit() {
+        let t = two_pin_segmented(8000.0, 8, 1e-9);
+        let lib = catalog::ibm_like();
+        let sol = max_slack(&t, None, &lib, &BuffOptOptions::default()).expect("solve");
+        let audit = audit::delay(&t, &lib, &sol.assignment).expect("audit");
+        assert!(
+            (sol.slack - audit.slack).abs() < 1e-15,
+            "DP slack {} vs audited {}",
+            sol.slack,
+            audit.slack
+        );
+    }
 
     #[test]
     fn delayopt_buffering_beats_unbuffered_on_long_nets() {

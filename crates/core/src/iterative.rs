@@ -311,15 +311,15 @@ mod tests {
             .expect("audit")
             .has_violation());
         // The DP's Problem 3 answer uses no more buffers than greedy.
-        let f = algo3::solve(
+        let dp = algo3::solve(
             &mut DpWorkspace::new(),
             &t,
             Some(&s),
             &lib,
             &Default::default(),
         )
-        .expect("dp");
-        let dp = f.fewest_meeting().unwrap_or_else(|| f.max_slack());
+        .expect("dp")
+        .min_buffers();
         assert!(dp.buffers <= sol.buffers);
     }
 

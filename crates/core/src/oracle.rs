@@ -13,7 +13,8 @@
 //!   never beats a smaller one, and `max_slack` is the delay optimum;
 //! * with a scenario and conservative pruning, `max_slack`, `per_count`
 //!   and `fewest_meeting` equal the enumerated Problem 2, per-count and
-//!   Problem 3 optima;
+//!   Problem 3 optima, and `min_buffers` serves Problem 3 or falls back to
+//!   Problem 2;
 //! * in the paper's `(C, q)` pruning mode — exact only under Theorem 5's
 //!   library assumptions, which random libraries break — `max_slack` must
 //!   still audit noise-clean and never beat the enumeration.
@@ -207,6 +208,21 @@ fn check(tree: &RoutingTree, lib: &BufferLibrary) -> Result<(), TestCaseError> {
                     false,
                     "problem 3: DP {:?} vs enumerated {want:?}",
                     got.map(|s| (s.buffers, s.slack))
+                ),
+            }
+            // Problem 3 as served falls back to the Problem 2 optimum.
+            let served = f.min_buffers();
+            match p3 {
+                Some((k, want)) => prop_assert!(
+                    served.buffers == k && close(served.slack, want),
+                    "served problem 3: ({}, {:e}) vs ({k}, {want:e})",
+                    served.buffers,
+                    served.slack
+                ),
+                None => prop_assert!(
+                    served.slack < 0.0 && close(served.slack, p2),
+                    "served fallback: {:e} vs problem 2 {p2:e}",
+                    served.slack
                 ),
             }
         }

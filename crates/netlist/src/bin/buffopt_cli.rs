@@ -856,8 +856,9 @@ fn main() -> ExitCode {
         Mode::P2 => {
             algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts).map(|f| f.max_slack())
         }
-        Mode::P3 => algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts)
-            .map(|f| f.fewest_meeting().unwrap_or_else(|| f.max_slack())),
+        Mode::P3 => {
+            algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts).map(|f| f.min_buffers())
+        }
         Mode::Cost => algo3::min_cost(&mut ws, &tree, &scenario, lib, &opts),
         Mode::Greedy => iterative::optimize(
             &tree,

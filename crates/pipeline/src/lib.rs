@@ -596,42 +596,33 @@ fn optimize_net_cancellable(
         // One DP run serves rungs 1 and 2: Problem 3 and Problem 2 are two
         // reads of the same source frontier.
         match guarded(|| {
-            let f = algo3::solve(ws, work_tree, Some(work_scenario), &cfg.library, &options)?;
-            Ok(f.fewest_meeting().ok_or_else(|| f.max_slack()))
+            Ok(
+                algo3::solve(ws, work_tree, Some(work_scenario), &cfg.library, &options)?
+                    .min_buffers(),
+            )
         }) {
-            // Rung 1 — Problem 3: fewest buffers meeting noise AND timing.
-            Ok(Ok(sol)) => {
-                return finish(
-                    ws,
-                    out,
-                    Outcome::Optimized,
-                    Rung::Problem3,
-                    sol,
-                    work_tree,
-                    work_scenario,
-                    &cfg.library,
-                    start,
-                );
-            }
-            Ok(Err(sol)) => {
-                // No count meets timing, so the answer is the best-slack
-                // noise-clean solution (negative slack ⇒ degraded). When
-                // resource pressure tightened the search it is served as
-                // the Problem 3 result with the cap recorded; otherwise
-                // as rung 2, Problem 2.
-                let rung = if sol.degraded_by.is_some() {
-                    Rung::Problem3
+            Ok(sol) => {
+                // Rung 1 — Problem 3: fewest buffers meeting noise AND
+                // timing. When no count meets timing the answer is the
+                // best-slack noise-clean solution (negative slack ⇒
+                // degraded): served as the Problem 3 result with the cap
+                // recorded when resource pressure tightened the search,
+                // otherwise as rung 2, Problem 2.
+                let (outcome, rung) = if sol.slack >= 0.0 {
+                    (Outcome::Optimized, Rung::Problem3)
+                } else if sol.degraded_by.is_some() {
+                    (Outcome::Degraded, Rung::Problem3)
                 } else {
                     out.attempts.push(Attempt {
                         rung: Rung::Problem3,
                         error: format!("timing unmet: best noise-clean slack {:e} s", sol.slack),
                     });
-                    Rung::Problem2
+                    (Outcome::Degraded, Rung::Problem2)
                 };
                 return finish(
                     ws,
                     out,
-                    Outcome::Degraded,
+                    outcome,
                     rung,
                     sol,
                     work_tree,
@@ -1094,6 +1085,25 @@ mod tests {
         assert_eq!(served.assignment, p2.assignment);
         assert_eq!(served.slack.to_bits(), p2.slack.to_bits());
         assert_eq!(served.buffers, p2.buffers);
+    }
+
+    #[test]
+    fn timing_unmet_net_under_a_time_limit_is_served_from_rung_two() {
+        // The one DP run fits the limit, so rung 2 is read off it; no
+        // second run can push the net past its deadline to noise-only.
+        let t = two_pin(20_000.0, 1e-12, 0.8);
+        let s = estimation(&t);
+        let mut c = cfg();
+        c.time_limit = Some(Duration::from_secs(60));
+        let o = optimize_net("tight-limited", &t, &s, &c);
+        assert_eq!(o.outcome, Outcome::Degraded);
+        assert_eq!(o.rung, Some(Rung::Problem2));
+        let rungs: Vec<Rung> = o.attempts.iter().map(|a| a.rung).collect();
+        assert_eq!(rungs, [Rung::Problem3], "{:?}", o.attempts);
+        assert!(o.attempts[0].error.contains("timing unmet"));
+        let unlimited = optimize_net("tight", &t, &s, &cfg());
+        assert_eq!(o.buffers, unlimited.buffers);
+        assert_eq!(o.slack.map(f64::to_bits), unlimited.slack.map(f64::to_bits));
     }
 
     #[test]

@@ -58,11 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let s2 = scenario.for_segmented(&seg);
         let opts = BuffOptOptions::default();
         let buffers = match algo3::solve(&mut ws, &seg.tree, Some(&s2), &lib, &opts) {
-            Ok(f) => f
-                .fewest_meeting()
-                .unwrap_or_else(|| f.max_slack())
-                .buffers
-                .to_string(),
+            Ok(f) => f.min_buffers().buffers.to_string(),
             Err(_) => "infeasible".to_string(),
         };
         println!(

@@ -49,16 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         unbuffered_noise.worst_headroom() * 1e3
     );
 
-    let frontier = algo3::solve(
+    let sol = algo3::solve(
         &mut DpWorkspace::new(),
         &tree,
         Some(&scenario),
         &lib,
         &BuffOptOptions::default(),
-    )?;
-    let sol = frontier
-        .fewest_meeting()
-        .unwrap_or_else(|| frontier.max_slack());
+    )?
+    .min_buffers();
     let d = audit::delay(&tree, &lib, &sol.assignment).expect("audit");
     let n = audit::noise(&tree, &scenario, &lib, &sol.assignment).expect("audit");
     println!(

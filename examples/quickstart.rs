@@ -53,16 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    One DP run; Problem 3 (fewest buffers meeting noise and timing)
     //    is read off its frontier, with the best-slack fallback.
     let mut ws = DpWorkspace::new();
-    let frontier = algo3::solve(
+    let sol = algo3::solve(
         &mut ws,
         &tree,
         Some(&scenario),
         &lib,
         &BuffOptOptions::default(),
-    )?;
-    let sol = frontier
-        .fewest_meeting()
-        .unwrap_or_else(|| frontier.max_slack());
+    )?
+    .min_buffers();
     println!(
         "BuffOpt inserted {} buffer(s); source timing slack = {:+.1} ps",
         sol.buffers,

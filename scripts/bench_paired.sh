@@ -30,14 +30,10 @@
 # seeds, per-side nets_per_s median and quartiles, the median ratio and
 # its quartiles, the win count, whether every digest agreed and every
 # answer was correct, the host's CPU and the UTC date. The change is named
-# by the code it measured: HEAD's commit id for a clean working tree, and
-# `<HEAD>+tree:<id>` for a dirty one (untracked files included), where
-# <id> is the git tree object of the working tree as `git add -A` would
-# stage it. A commit with exactly that content has the same tree, so
-# `git rev-parse <commit>^{tree}` matches the row to it. Appending the row
-# changes BENCH_perfbench.json, and so the tree: commit the measured code
-# before the rows, or compare with `git diff --stat <id> <commit>` in the
-# clone that ran the pairs (the tree object is written there).
+# by HEAD's commit id, so the row is appended only when the working tree
+# (untracked files included) matches HEAD apart from BENCH_perfbench.json
+# itself; on a dirty tree the pairs still run and print, but no row is
+# written. Commit the measured code first, then the rows.
 #
 # Environment:
 #   SEED0             first seed (default 1)
@@ -63,14 +59,11 @@ repo=$(pwd)
 record=$repo/BENCH_perfbench.json
 parent_id=$(git rev-parse --short=12 "$parent_rev")
 change_id=$(git rev-parse --short=12 HEAD)
-if [[ -n $(git status --porcelain --untracked-files=all) ]]; then
-    # Stage the working tree into a scratch copy of the index, so the real
-    # index is untouched, and name the tree git would commit.
-    index=$(mktemp "${TMPDIR:-/tmp}/bench_paired_index.XXXXXX")
-    cp "$(git rev-parse --git-path index)" "$index"
-    GIT_INDEX_FILE=$index git add -A
-    change_id="$change_id+tree:$(GIT_INDEX_FILE=$index git write-tree)"
-    rm -f "$index"
+dirty=$(git status --porcelain --untracked-files=all -- . ':!BENCH_perfbench.json')
+if [[ -n $dirty ]]; then
+    echo "working tree differs from HEAD; the summary will not be recorded:" >&2
+    head -5 <<<"$dirty" >&2
+    record=
 fi
 host="$(nproc) cores, $(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
 
@@ -192,13 +185,16 @@ if ratios:
         "host": host,
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%MZ"),
     }
-    rows = json.load(open(record))["rows"] if os.path.exists(record) else []
-    rows.append(row)
-    with open(record, "w") as f:
-        f.write('{"bench": "bench_paired", "rows": [\n')
-        f.write(",\n".join(json.dumps(r) for r in rows))
-        f.write("\n]}\n")
-    print(f"appended the summary to {record}")
+    if record:
+        rows = json.load(open(record))["rows"] if os.path.exists(record) else []
+        rows.append(row)
+        with open(record, "w") as f:
+            f.write('{"bench": "bench_paired", "rows": [\n')
+            f.write(",\n".join(json.dumps(r) for r in rows))
+            f.write("\n]}\n")
+        print(f"appended the summary to {record}")
+    else:
+        print("working tree differs from HEAD: summary not recorded")
 sys.exit(0 if ok else 1)
 EOF
 exit $status

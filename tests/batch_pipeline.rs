@@ -145,7 +145,7 @@ fn budgets_yield_typed_errors_and_default_is_identity() {
     // Problem 3 with its best-slack fallback, as the pipeline serves it.
     let min_buffers = |opts: &BuffOptOptions| {
         algo3::solve(&mut DpWorkspace::new(), &tree, Some(&scenario), &lib, opts)
-            .map(|f| f.fewest_meeting().unwrap_or_else(|| f.max_slack()))
+            .map(|f| f.min_buffers())
     };
 
     let squeezed = BuffOptOptions {

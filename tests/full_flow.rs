@@ -2,7 +2,7 @@
 //! segmenting → optimization → independent audit → simulation referee.
 
 use buffopt::buffopt::{self as algo3, BuffOptOptions, Frontier};
-use buffopt::{audit, Assignment, DpWorkspace, Solution};
+use buffopt::{audit, Assignment, DpWorkspace};
 use buffopt_bench::{net_has_referee_violation, prepare, ExperimentSetup};
 use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_noise::NoiseScenario;
@@ -29,12 +29,6 @@ fn solve<'t>(
     algo3::solve(&mut DpWorkspace::new(), tree, scenario, lib, &opts).expect("solves")
 }
 
-/// Problem 3 as the pipeline serves it: the fewest buffers meeting
-/// timing, else the best-slack fallback.
-fn served(f: &Frontier<'_>) -> Solution {
-    f.fewest_meeting().unwrap_or_else(|| f.max_slack())
-}
-
 #[test]
 fn buffopt_fixes_every_net_and_referee_confirms() {
     let setup = small_setup(30);
@@ -49,7 +43,7 @@ fn buffopt_fixes_every_net_and_referee_confirms() {
     for net in &nets {
         let empty = Assignment::empty(&net.tree);
         let before = audit::noise(&net.tree, &net.scenario, lib, &empty).expect("audit");
-        let sol = served(&solve(&net.tree, Some(&net.scenario), lib, None));
+        let sol = solve(&net.tree, Some(&net.scenario), lib, None).min_buffers();
         let after = audit::noise(&net.tree, &net.scenario, lib, &sol.assignment).expect("audit");
         assert!(!after.has_violation(), "net {} still violates", net.id);
         if before.has_violation() {
@@ -136,7 +130,7 @@ fn problem3_uses_at_most_problem2_buffers() {
     let lib = &setup.library;
     for net in &nets {
         let f = solve(&net.tree, Some(&net.scenario), lib, None);
-        let (p2, p3) = (f.max_slack(), served(&f));
+        let (p2, p3) = (f.max_slack(), f.min_buffers());
         assert!(p3.buffers <= p2.buffers, "net {}", net.id);
         if p3.slack >= 0.0 {
             // When timing is met, frugality is the whole point.
@@ -159,7 +153,7 @@ fn inverting_library_subset_is_sufficient() {
     let nets = prepare(&setup).expect("prepare");
     let lib = catalog::ibm_like().non_inverting();
     for net in &nets {
-        let sol = served(&solve(&net.tree, Some(&net.scenario), &lib, None));
+        let sol = solve(&net.tree, Some(&net.scenario), &lib, None).min_buffers();
         assert!(
             !audit::noise(&net.tree, &net.scenario, &lib, &sol.assignment)
                 .expect("audit")

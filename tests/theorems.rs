@@ -291,8 +291,9 @@ fn infeasible_sites_are_respected() {
     let t = b.build().expect("tree");
     let s = estimation(&t);
     let lib = single_lib();
-    let f = solve(&t, Some(&s), &lib, &BuffOptOptions::default()).expect("solves");
-    let sol = f.fewest_meeting().unwrap_or_else(|| f.max_slack());
+    let sol = solve(&t, Some(&s), &lib, &BuffOptOptions::default())
+        .expect("solves")
+        .min_buffers();
     for n in blocked {
         assert!(
             sol.assignment.buffer_at(n).is_none(),
