@@ -8,8 +8,8 @@
 //! Runs the same prepared batch through engines with increasing pool
 //! sizes (default 1, 2, 4) and reports wall time and speedup over the
 //! serial engine, then re-submits the batch to a warm cache. Per-net
-//! results are checked identical across pool sizes (modulo measured
-//! wall times), so the table measures the pool, not noise in the work.
+//! records are checked byte-identical across pool sizes, so the table
+//! measures the pool, not noise in the work.
 //! Speedups track the machine's actual core count — on a single-core
 //! host every row lands near 1.0×.
 
@@ -18,20 +18,6 @@ use std::time::Instant;
 use buffopt_bench::{prepare, ExperimentSetup};
 use buffopt_pipeline::{NetInput, PipelineConfig};
 use buffopt_server::{Engine, EngineOptions, Job};
-
-fn normalize_wall(jsonl: &str) -> String {
-    let mut out = String::with_capacity(jsonl.len());
-    let mut rest = jsonl;
-    while let Some(at) = rest.find("\"wall_ms\":") {
-        let after = at + "\"wall_ms\":".len();
-        out.push_str(&rest[..after]);
-        out.push('X');
-        rest = rest[after..]
-            .trim_start_matches(|c: char| c.is_ascii_digit() || matches!(c, '.' | 'e' | '-' | '+'));
-    }
-    out.push_str(rest);
-    out
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -97,10 +83,10 @@ fn main() {
             wall.as_secs_f64(),
             base.as_secs_f64() / wall.as_secs_f64()
         );
-        let normalized = normalize_wall(&report.to_jsonl());
+        let records = report.to_jsonl();
         match &reference {
-            None => reference = Some(normalized),
-            Some(r) => assert_eq!(*r, normalized, "records must not depend on the pool size"),
+            None => reference = Some(records),
+            Some(r) => assert_eq!(*r, records, "records must not depend on the pool size"),
         }
     }
 

@@ -9,9 +9,9 @@
 //! where `len` is the payload byte count and `crc64` is the
 //! CRC-64/XZ of the payload. The `!F ` prefix can never begin a plain
 //! JSON request (those start with `{` or a bare word like `stats`), so
-//! framed and unframed clients share one port: the server only
-//! interprets the prefix when `--frame-check` is on, and mirrors the
-//! framing of each request on its response. A truncated or damaged
+//! framed and unframed clients share one port: the server decodes every
+//! line that carries the prefix and mirrors the framing of each request
+//! on its response. A truncated or damaged
 //! frame fails closed with a typed [`FrameError`] instead of being
 //! handed to the JSON parser as a guess.
 

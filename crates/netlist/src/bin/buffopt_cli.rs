@@ -12,7 +12,7 @@
 //!             [--max-candidates N] [--max-tree-nodes N]
 //! buffopt-cli serve [--listen ADDR] [--jobs N] [--cache N]
 //!             [--queue-depth N] [--deadline-ms N] [--max-retries N]
-//!             [--read-timeout-ms N] [--max-line-bytes N] [--frame-check]
+//!             [--read-timeout-ms N] [--max-line-bytes N]
 //!             [--verify-sample-rate R] [shared flags as above]
 //! ```
 //!
@@ -33,8 +33,8 @@
 //!   net only; the batch always completes;
 //! * `--jobs N` — worker threads for `--batch` and `serve` (default: the
 //!   machine's available parallelism). Records are emitted in input order
-//!   with identical content whatever `N` is (only measured `wall_ms`
-//!   timings vary, exactly as they do between two serial runs);
+//!   and are byte-identical whatever `N` is: a record holds the answer
+//!   only, never run telemetry such as wall time;
 //! * `--journal FILE` — checkpoint each completed record to `FILE` with
 //!   an fsync'd append, keyed by a content digest of the net. A batch
 //!   killed mid-run loses at most the record being written;
@@ -42,8 +42,8 @@
 //!   every net whose content is already checkpointed (splicing the
 //!   journaled record lines into the output verbatim), compute the rest,
 //!   and keep appending to the same journal. The final JSONL output is
-//!   byte-identical to what the uninterrupted run would have produced
-//!   (modulo each record's measured `wall_ms`). Every journal line
+//!   byte-identical to what the uninterrupted run would have produced.
+//!   Every journal line
 //!   carries a CRC-64 checksum: a torn or corrupted line is quarantined
 //!   to a `FILE.quarantine` sidecar (with a stderr warning) and its net
 //!   recomputed, so corruption costs work, never wrong output. A journal
@@ -57,7 +57,8 @@
 //!   `serve` reports it in the `stats` integrity section;
 //! * `serve` — long-running newline-JSON TCP service over the same
 //!   pipeline: one `{"id":...,"net":...}` request line per net, one
-//!   record line per response (plus `cache` and `worker` fields), with
+//!   record line per response (followed by the envelope: `cache`,
+//!   `worker`, and the run's `wall_ms` and DP counters), with
 //!   `{"cmd":"stats"}` and `{"cmd":"shutdown"}` commands. Prints
 //!   `listening on ADDR` once ready; `--listen` defaults to
 //!   `127.0.0.1:0` (an OS-assigned port), `--cache` sets the solution
@@ -75,13 +76,11 @@
 //!   rendezvous hash of the net digest; `stats` aggregates all shards),
 //!   and `--max-conns N` refuses accepts beyond N live connections with
 //!   a typed `{"error":"overloaded","detail":"max_conns"}` line (0 =
-//!   unlimited);
-//! * `--frame-check` — accept length+CRC framed request lines
-//!   (`!F <len> <crc> <payload>`) on the TCP service and mirror the
-//!   framing on responses. Negotiated per line: unframed clients on the
-//!   same socket are served exactly as before. A truncated or damaged
-//!   frame gets a typed `{"error":"bad_frame",...}` response (counted in
-//!   `stats` under `connections.bad_frames`) instead of a parse guess;
+//!   unlimited). A request line may be length+CRC framed
+//!   (`!F <len> <crc> <payload>`): the response mirrors the framing,
+//!   and a truncated or damaged frame gets a typed
+//!   `{"error":"bad_frame",...}` response (counted in `stats` under
+//!   `connections.bad_frames`) instead of a parse guess;
 //! * `--time-limit-ms` / `--max-candidates` / `--max-tree-nodes` —
 //!   per-net resource budget (unlimited when omitted). The clock starts
 //!   when a net is dequeued by a worker, not while it waits in line;
@@ -93,9 +92,10 @@
 //! * `--memo-budget-mb N` — enable the structural subtree memo: a shared,
 //!   byte-budgeted table keyed by canonical subtree digests that seeds
 //!   repeated merge-point frontiers across nets (and across requests in
-//!   `serve`). Solutions are bitwise-identical to memo-free runs; only the
-//!   per-record peak statistics can differ, so the memo defaults to off.
-//!   Ignored when `--mem-budget-mb` is set (arena-capped runs carry
+//!   `serve`). Records are byte-identical to memo-free runs. The memo
+//!   defaults to off because it does not pay: on the ECO serving workload
+//!   (eco-serve) it lowered throughput by about 16 % and raised peak RSS
+//!   in every paired run measured (ROADMAP item 1). Ignored when `--mem-budget-mb` is set (arena-capped runs carry
 //!   whole-run state the memo cannot replay);
 //! * `--no-memo` — force the memo off even if `--memo-budget-mb` was
 //!   given (handy for A/B comparisons in scripts).
@@ -143,7 +143,6 @@ struct Args {
     max_retries: u32,
     read_timeout_ms: Option<u64>,
     max_line_bytes: usize,
-    frame_check: bool,
     verify_sample_rate: f64,
     segment: f64,
     mode: Mode,
@@ -206,7 +205,6 @@ impl Args {
                 None => ServeOptions::default().read_timeout,
             },
             max_line_bytes: self.max_line_bytes,
-            frame_check: self.frame_check,
             max_conns: self.max_conns,
         }
     }
@@ -231,7 +229,7 @@ fn usage() -> String {
      \x20      buffopt-cli serve [--listen ADDR] [--shards N] [--max-conns N] \
      [--jobs N] [--cache N] \
      [--queue-depth N] [--deadline-ms N] [--max-retries N] [--read-timeout-ms N] \
-     [--max-line-bytes N] [--frame-check] [--verify-sample-rate R] \
+     [--max-line-bytes N] [--verify-sample-rate R] \
      [shared flags as above]"
         .to_string()
 }
@@ -253,7 +251,6 @@ fn parse_args() -> Result<Args, String> {
         max_retries: 1,
         read_timeout_ms: None,
         max_line_bytes: 1 << 20,
-        frame_check: false,
         verify_sample_rate: 0.0,
         segment: 500.0,
         mode: Mode::P3,
@@ -402,7 +399,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.memo_budget_mb = Some(n);
             }
-            "--frame-check" => args.frame_check = true,
             "--verify-sample-rate" => {
                 let v = it.next().ok_or_else(usage)?;
                 let r: f64 = v
@@ -442,9 +438,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.journal.is_some() && args.resume.is_some() {
         return Err("--journal and --resume are exclusive (--resume keeps journaling)".to_string());
-    }
-    if args.frame_check && !args.serve {
-        return Err("--frame-check only applies to serve".to_string());
     }
     if (args.shards > 1 || args.max_conns > 0) && !args.serve {
         return Err("--shards/--max-conns only apply to serve".to_string());

@@ -6,16 +6,18 @@
 //! out. A resumed run loads the journal, skips every net whose content
 //! key is present, and splices the journaled record lines into the final
 //! output **verbatim**, so the resumed output is byte-identical to what
-//! the interrupted run would have produced (each record's measured
-//! `wall_ms` is whatever the run that actually computed it measured,
-//! exactly as two uninterrupted runs differ from each other).
+//! the interrupted run would have produced: a record holds the answer
+//! only, with no run telemetry, so whichever run computed it wrote the
+//! same bytes.
 //!
 //! Keys are content digests (the same `(config, name, net text)` digest
 //! the solution cache uses), not file names or indices — so a resumed run
 //! recomputes a net whose *content* changed since the checkpoint, and a
 //! renamed-but-identical batch directory still hits its checkpoints.
 //!
-//! **Format v2** hardens every line against the storage fault model:
+//! **Format v3** (v2's lines over the answer-only record; a v2 journal's
+//! records still carry run telemetry, so it is refused, never spliced)
+//! hardens every line against the storage fault model:
 //!
 //! - The first line is the format header [`FORMAT_HEADER`]. A journal
 //!   whose first line is anything else is refused outright — a foreign
@@ -39,10 +41,10 @@ use buffopt_integrity::{crc64, quarantine_append, quarantine_path};
 use crate::fault::{FaultAction, FaultPlan, Seam};
 use crate::Outcome;
 
-/// First line of every v2 journal. Version bumps change this string,
+/// First line of every v3 journal. Version bumps change this string,
 /// so an old-format file is refused with a distinct message instead of
 /// a per-line parse error.
-pub const FORMAT_HEADER: &str = "#buffopt-journal v2";
+pub const FORMAT_HEADER: &str = "#buffopt-journal v3";
 
 /// An append-only, fsync-per-record checkpoint journal.
 pub struct BatchJournal {
@@ -123,7 +125,7 @@ pub fn sidecar_path(path: &Path) -> PathBuf {
 
 /// Loads the journaled records of a previous (possibly interrupted)
 /// run. A missing file is an empty journal. A file whose first line is
-/// not the v2 [`FORMAT_HEADER`] is refused with a distinct error (it is
+/// not the v3 [`FORMAT_HEADER`] is refused with a distinct error (it is
 /// foreign, or from an older format — never half-use it). Every record
 /// line that fails its CRC or shape check is quarantined to the
 /// `.quarantine` sidecar and counted, not fatal.
@@ -389,14 +391,14 @@ mod tests {
         clean(&p);
         std::fs::write(
             &p,
-            "#buffopt-journal v1\n0000000000000007 {\"net\":\"a\"}\n",
+            "#buffopt-journal v2\n0000000000000007 {\"net\":\"a\"}\n",
         )
         .expect("write");
         let err = load(&p).expect_err("rejects");
         let msg = err.to_string();
         assert!(msg.contains("unsupported journal format"), "{msg}");
-        assert!(msg.contains("v1"), "{msg}");
         assert!(msg.contains("v2"), "{msg}");
+        assert!(msg.contains("v3"), "{msg}");
         clean(&p);
     }
 

@@ -226,27 +226,9 @@ pub struct NetOutcome {
     pub error: Option<String>,
     /// Rungs tried before the serving one, with why each fell through.
     pub attempts: Vec<Attempt>,
-    /// Wall-clock time spent on this net (all rungs).
+    /// Wall-clock time spent on this net (all rungs): run telemetry, not
+    /// part of the answer, so [`NetOutcome::to_json`] leaves it out.
     pub wall: Duration,
-    /// Peak DP candidate-list size across the successful rung (0 when no
-    /// DP rung succeeded).
-    pub candidate_peak: usize,
-    /// Peak per-node count of merge rows the successful DP rung actually
-    /// enumerated (0 when no DP rung succeeded). The gap to
-    /// `candidate_peak` is how much the fused merge-prune saved on this
-    /// net.
-    pub merge_peak: usize,
-    /// Total merge rows the successful DP rung enumerated across the net
-    /// (0 when no DP rung succeeded).
-    pub merge_enumerated: usize,
-    /// Total merge pairs the successful DP rung skipped without
-    /// enumerating them — polarity/buffer-cap blocks plus predictive
-    /// witness skips. `merge_enumerated + merge_pruned` equals the sum of
-    /// raw |L|·|R| merge products over the net.
-    pub merge_pruned: usize,
-    /// High-water mark of the provenance arena across the successful DP
-    /// rung, in bytes (0 when no DP rung succeeded).
-    pub arena_peak: usize,
     /// Which resource cap the serving DP rung degraded under, when the
     /// budget ran in degrade-in-place mode; `None` for a full-search
     /// result. A degraded solution is still audit-feasible.
@@ -271,11 +253,6 @@ impl NetOutcome {
             error: None,
             attempts: Vec::new(),
             wall: Duration::ZERO,
-            candidate_peak: 0,
-            merge_peak: 0,
-            merge_enumerated: 0,
-            merge_pruned: 0,
-            arena_peak: 0,
             degraded_by: None,
             buffers: None,
             slack: None,
@@ -284,13 +261,15 @@ impl NetOutcome {
         }
     }
 
-    /// This record as one JSON object (no trailing newline).
+    /// This record as one JSON object (no trailing newline): the answer
+    /// only, so the same net under the same configuration serializes to
+    /// the same bytes whichever run, worker or cache produced it. Run
+    /// telemetry (`wall` and the serving [`Solution`]'s DP counters) is
+    /// for the caller's envelope, not the record.
     ///
     /// Schema (all keys always present):
-    /// `net`, `outcome`, `rung`, `degraded_by`, `error`, `wall_ms`,
-    /// `candidate_peak`, `merge_peak`, `merge_enumerated`, `merge_pruned`,
-    /// `arena_peak`, `buffers`, `slack`, `worst_headroom`, `attempts`
-    /// (array of `{rung, error}`).
+    /// `net`, `outcome`, `rung`, `degraded_by`, `error`, `buffers`,
+    /// `slack`, `worst_headroom`, `attempts` (array of `{rung, error}`).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
         s.push_str("{\"net\":");
@@ -320,18 +299,6 @@ impl NetOutcome {
             Some(e) => push_json_str(&mut s, e),
             None => s.push_str("null"),
         }
-        s.push_str(",\"wall_ms\":");
-        push_json_f64(&mut s, self.wall.as_secs_f64() * 1e3);
-        s.push_str(",\"candidate_peak\":");
-        s.push_str(&self.candidate_peak.to_string());
-        s.push_str(",\"merge_peak\":");
-        s.push_str(&self.merge_peak.to_string());
-        s.push_str(",\"merge_enumerated\":");
-        s.push_str(&self.merge_enumerated.to_string());
-        s.push_str(",\"merge_pruned\":");
-        s.push_str(&self.merge_pruned.to_string());
-        s.push_str(",\"arena_peak\":");
-        s.push_str(&self.arena_peak.to_string());
         s.push_str(",\"buffers\":");
         match self.buffers {
             Some(b) => s.push_str(&b.to_string()),
@@ -559,15 +526,26 @@ fn optimize_net_cancellable(
     cfg: &PipelineConfig,
     cancel: CancelToken,
 ) -> NetOutcome {
+    // Start the clock and arm the deadline now — the net is being
+    // dequeued and starts running this instant. All rungs share the one
+    // armed deadline (and the one cancel token).
     let start = Instant::now();
-    // Arm the deadline now — the net is being dequeued and starts running
-    // this instant. All rungs share the one armed deadline (and the one
-    // cancel token).
-    let budget = {
-        let mut b = cfg.budget();
-        b.cancel = cancel;
-        b.armed()
-    };
+    let mut budget = cfg.budget();
+    budget.cancel = cancel;
+    let mut out = ladder(ws, name, tree, scenario, cfg, &budget.armed());
+    out.wall = start.elapsed();
+    out
+}
+
+/// Walks the degradation ladder under the armed `budget`.
+fn ladder(
+    ws: &mut DpWorkspace,
+    name: &str,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    cfg: &PipelineConfig,
+    budget: &RunBudget,
+) -> NetOutcome {
     let mut out = NetOutcome::shell(name, Outcome::Failed);
 
     // Segment for the DP rungs. Algorithm 2 (rung 3) works on the raw
@@ -628,7 +606,6 @@ fn optimize_net_cancellable(
                     work_tree,
                     work_scenario,
                     &cfg.library,
-                    start,
                 );
             }
             Err(e) => out.attempts.push(Attempt {
@@ -642,7 +619,7 @@ fn optimize_net_cancellable(
             error: e.clone(),
         });
     }
-    if let Some(rec) = cancelled_record(&budget, &mut out, start) {
+    if let Some(rec) = cancelled_record(budget, &mut out) {
         return rec;
     }
 
@@ -650,7 +627,7 @@ fn optimize_net_cancellable(
     // tree (independent of segmentation, so it also rescues nets whose
     // segmentation failed).
     match guarded(|| {
-        algorithm2::avoid_noise_budgeted_with(ws, tree, scenario, &cfg.library, &budget)
+        algorithm2::avoid_noise_budgeted_with(ws, tree, scenario, &cfg.library, budget)
     }) {
         Ok(sol) => {
             let audit_result = guarded(|| {
@@ -676,7 +653,6 @@ fn optimize_net_cancellable(
                 out.worst_headroom = Some(headroom);
                 out.slack = Some(slack);
             }
-            out.wall = start.elapsed();
             return out;
         }
         Err(e) => out.attempts.push(Attempt {
@@ -684,7 +660,7 @@ fn optimize_net_cancellable(
             error: e,
         }),
     }
-    if let Some(rec) = cancelled_record(&budget, &mut out, start) {
+    if let Some(rec) = cancelled_record(budget, &mut out) {
         return rec;
     }
 
@@ -710,23 +686,17 @@ fn optimize_net_cancellable(
             out.error = Some(format!("diagnosis failed: {e}"));
         }
     }
-    out.wall = start.elapsed();
     out
 }
 
 /// When the run's cancel token has tripped, takes `out` and returns the
 /// terminal `failed` record: nobody is waiting for the result, so the
 /// remaining rungs are skipped rather than run to completion.
-fn cancelled_record(
-    budget: &RunBudget,
-    out: &mut NetOutcome,
-    start: Instant,
-) -> Option<NetOutcome> {
+fn cancelled_record(budget: &RunBudget, out: &mut NetOutcome) -> Option<NetOutcome> {
     let reason = budget.cancel.cancelled()?;
     let mut rec = std::mem::replace(out, NetOutcome::shell("", Outcome::Failed));
     rec.outcome = Outcome::Failed;
     rec.error = Some(format!("cancelled: {reason}"));
-    rec.wall = start.elapsed();
     Some(rec)
 }
 
@@ -742,17 +712,11 @@ fn finish(
     tree: &RoutingTree,
     scenario: &NoiseScenario,
     lib: &BufferLibrary,
-    start: Instant,
 ) -> NetOutcome {
     out.outcome = outcome;
     out.rung = Some(rung);
     out.buffers = Some(sol.buffers);
     out.slack = Some(sol.slack);
-    out.candidate_peak = sol.peak_candidates;
-    out.merge_peak = sol.peak_merge_product;
-    out.merge_enumerated = sol.merge_products_enumerated;
-    out.merge_pruned = sol.merge_products_pruned;
-    out.arena_peak = sol.peak_arena_bytes;
     out.degraded_by = sol.degraded_by;
     if let Ok(headroom) = guarded(|| {
         Ok(
@@ -763,7 +727,6 @@ fn finish(
         out.worst_headroom = Some(headroom);
     }
     out.solution = Some(sol);
-    out.wall = start.elapsed();
     out
 }
 
@@ -1054,8 +1017,7 @@ mod tests {
         assert!(o.attempts.is_empty(), "{:?}", o.attempts);
         assert!(o.slack.unwrap() >= 0.0);
         assert!(o.worst_headroom.unwrap() >= 0.0);
-        assert!(o.candidate_peak > 0);
-        assert!(o.solution.is_some());
+        assert!(o.solution.as_ref().is_some_and(|s| s.peak_candidates > 0));
     }
 
     #[test]
@@ -1259,7 +1221,7 @@ mod tests {
         assert!(j.contains(r#""net":"we\"ird\\name\n""#), "{j}");
         assert!(j.contains(r#""error":"tab\there""#), "{j}");
         assert!(j.contains("\"degraded_by\":null"), "{j}");
-        assert!(j.contains("\"arena_peak\":0"), "{j}");
+        assert!(!j.contains("wall_ms") && !j.contains("arena_peak"), "{j}");
         // Non-finite floats serialize as null, not as invalid JSON.
         o.slack = Some(f64::INFINITY);
         assert!(o.to_json().contains("\"slack\":null"));

@@ -7,8 +7,9 @@
 //! content digest of everything that determines the record —
 //! `(net, scenario, library, budget/config)` — computed by the caller
 //! via [`digest`] / [`Engine::key_for`], so a hit returns a record
-//! *identical* to what re-optimizing would produce (including the stored
-//! wall time, which is part of the record's provenance).
+//! *identical* to what re-optimizing would produce. The stored outcome
+//! also carries the computing run's telemetry (its wall time and DP
+//! counters), which a hit replays in its response envelope.
 //!
 //! The map is sharded to keep lock contention off the worker pool's hot
 //! path; each shard is an independent LRU protected by its own mutex.
@@ -21,6 +22,11 @@ use std::sync::Mutex;
 
 use buffopt_integrity::Crc64;
 use buffopt_pipeline::NetOutcome;
+
+use crate::service::push_telemetry;
+
+/// Lock shards of every engine's [`SolutionCache`].
+pub const CACHE_SHARDS: usize = 8;
 
 /// FNV-1a 64-bit over a sequence of byte slices, with a length separator
 /// between parts so `("ab", "c")` and `("a", "bc")` digest differently.
@@ -52,13 +58,16 @@ struct Entry {
     crc: u64,
 }
 
-/// CRC-64 over everything a hit serves: the serialized record plus the
-/// reported worker. (The in-memory `solution` is not covered here — it
-/// never reaches a client directly; the sampled re-verification audit
-/// is the layer that checks solutions semantically.)
+/// CRC-64 over everything a hit serves: the serialized record, the
+/// reported worker, and the telemetry the response envelope appends.
+/// (The rest of the in-memory `solution` is not covered here — it never
+/// reaches a client directly; the sampled re-verification audit is the
+/// layer that checks solutions semantically.)
 fn entry_crc(outcome: &NetOutcome, worker: usize) -> u64 {
+    let mut bytes = outcome.to_json();
+    push_telemetry(&mut bytes, outcome);
     let mut h = Crc64::new();
-    h.update(outcome.to_json().as_bytes());
+    h.update(bytes.as_bytes());
     h.update_u64(worker as u64);
     h.finish()
 }
@@ -186,10 +195,10 @@ impl SolutionCache {
     /// Stores a record, evicting the least-recently-used entry of the
     /// shard if it is full. Inserting a key that is already present
     /// keeps the stored record and only refreshes its recency: when two
-    /// concurrent requests for the same key both miss and both compute
-    /// (their timing records differ even though the solutions agree),
-    /// first-write-wins keeps every subsequent hit byte-identical
-    /// instead of flapping between the racers' records.
+    /// concurrent requests for the same key both miss and both compute,
+    /// their records are identical but their `worker` and telemetry
+    /// differ, and first-write-wins keeps every subsequent hit's
+    /// response byte-identical instead of flapping between the racers'.
     pub fn insert(&self, key: u64, outcome: NetOutcome, worker: usize) {
         if self.per_shard == 0 {
             return;

@@ -20,9 +20,10 @@
 //! records by index — so a parallel batch emits records in exactly the
 //! input order, and the content of each record is independent of which
 //! worker computed it (per-net optimization is single-threaded and
-//! deterministic). The only field that varies between runs is the
-//! measured `wall_ms`, exactly as it already does between two serial
-//! runs.
+//! deterministic). A record holds the answer only, so a parallel
+//! batch's JSONL is byte-identical to a serial one. Run telemetry — the
+//! measured `wall` and the serving solution's DP counters — stays on
+//! [`NetOutcome`] for the metrics and the service's response envelope.
 //!
 //! # Supervision
 //!
@@ -100,7 +101,7 @@ use buffopt_pipeline::{
     NetInput, NetOutcome, Outcome, PanicHush, PipelineConfig, Reverify,
 };
 
-use crate::cache::{digest, SolutionCache};
+use crate::cache::{digest, SolutionCache, CACHE_SHARDS};
 use crate::metrics::{Metrics, MetricsSnapshot};
 
 /// One unit of work: a net plus an optional cache key. Jobs without a
@@ -177,8 +178,6 @@ pub struct EngineOptions {
     pub jobs: usize,
     /// Total solution-cache capacity in records; 0 disables caching.
     pub cache_capacity: usize,
-    /// Cache shards (lock granularity).
-    pub cache_shards: usize,
     /// Queue high-watermark for [`Engine::try_optimize`] admission;
     /// 0 means `2 × jobs` (the default backpressure depth).
     pub queue_depth: usize,
@@ -208,7 +207,6 @@ impl Default for EngineOptions {
         EngineOptions {
             jobs: default_jobs(),
             cache_capacity: 1024,
-            cache_shards: 8,
             queue_depth: 0,
             request_deadline: None,
             max_retries: 1,
@@ -606,7 +604,7 @@ impl Engine {
         // stable within a process, which is all an in-memory cache needs.
         let cfg_digest = digest(&[format!("{cfg:?}").as_bytes()]);
         let metrics = Arc::new(Metrics::default());
-        let cache = Arc::new(SolutionCache::new(opts.cache_capacity, opts.cache_shards));
+        let cache = Arc::new(SolutionCache::new(opts.cache_capacity, CACHE_SHARDS));
         let verify_rate = opts.verify_sample_rate.clamp(0.0, 1.0);
         let (verify_tx, verify_handle) = if verify_rate > 0.0 {
             let (vtx, vrx) = mpsc::channel::<VerifyTask>();

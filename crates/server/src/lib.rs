@@ -10,7 +10,7 @@
 //! * [`Engine`] — a supervised fixed-size worker pool that fans batches
 //!   of [`NetInput`]s out to workers and reassembles the per-net records
 //!   in **deterministic input order**, so `--jobs N` output is
-//!   indistinguishable from serial output (modulo wall-clock timings).
+//!   byte-identical to serial output (records carry no run telemetry).
 //!   The pool detects workers that die outside their panic boundary,
 //!   respawns them, retries the orphaned request a bounded number of
 //!   times, and sheds load ([`Rejection`]) when the bounded queue hits
@@ -23,7 +23,8 @@
 //!   across workers and snapshot as JSON;
 //! * [`service`] — a long-running newline-delimited-JSON TCP front end:
 //!   one request line per net, one response line per record (the
-//!   pipeline's JSONL schema plus `cache` and `worker` fields), plus
+//!   pipeline's JSONL record followed by an envelope: `cache`, `worker`
+//!   and the computing run's telemetry), plus
 //!   `stats` and `shutdown` commands, served by the sharded epoll
 //!   reactor ([`serve_sharded`]). Shards answer cache hits and control
 //!   commands inline and hand misses straight to engine workers, whose

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use buffopt::{CancelReason, MemoStats};
+use buffopt::{CancelReason, MemoStats, Solution};
 use buffopt_pipeline::{NetOutcome, Outcome, Rung};
 
 use crate::cache::CacheStats;
@@ -208,25 +208,27 @@ impl Metrics {
             r.served.fetch_add(1, Ordering::Relaxed);
             r.latency[bucket_of(o.wall)].fetch_add(1, Ordering::Relaxed);
         }
+        // The serving DP run's counters (zeros without a DP solution).
+        let stat = |f: fn(&Solution) -> usize| o.solution.as_ref().map_or(0, f) as u64;
         // Candidate-pressure gauges: high-water marks over every served
         // net, the serving-side view of how close the DP runs to its
         // candidate budget.
         self.candidate_peak
-            .fetch_max(o.candidate_peak as u64, Ordering::Relaxed);
+            .fetch_max(stat(|s| s.peak_candidates), Ordering::Relaxed);
         self.merge_peak
-            .fetch_max(o.merge_peak as u64, Ordering::Relaxed);
+            .fetch_max(stat(|s| s.peak_merge_product), Ordering::Relaxed);
         // Cumulative merge-work split: rows the DP actually enumerated vs
         // pairs predictive pruning (and the block filters) skipped. The
         // ratio is the serving-side view of pruning effectiveness.
         self.merge_enumerated
-            .fetch_add(o.merge_enumerated as u64, Ordering::Relaxed);
+            .fetch_add(stat(|s| s.merge_products_enumerated), Ordering::Relaxed);
         self.merge_pruned
-            .fetch_add(o.merge_pruned as u64, Ordering::Relaxed);
+            .fetch_add(stat(|s| s.merge_products_pruned), Ordering::Relaxed);
         // Resource-governor gauges: the provenance arena's high-water
         // mark across every worker, and how many runs finished by
         // degrading in place under a memory cap.
         self.arena_peak_bytes
-            .fetch_max(o.arena_peak as u64, Ordering::Relaxed);
+            .fetch_max(stat(|s| s.peak_arena_bytes), Ordering::Relaxed);
         if o.degraded_by.is_some() {
             self.degraded_pressure.fetch_add(1, Ordering::Relaxed);
         }
@@ -612,6 +614,27 @@ mod tests {
     use super::*;
     use buffopt_pipeline::{NetInput, PipelineConfig};
 
+    /// A Problem 3 record of a small healthy net: it carries a DP
+    /// solution whose counters the tests overwrite through [`dp_stats`].
+    fn dp_record() -> NetOutcome {
+        let (tree, scenario) =
+            buffopt_workload::adversarial::valid_net(&buffopt_workload::WorkloadConfig::default());
+        let rec = buffopt_pipeline::optimize_input(
+            &NetInput::Parsed {
+                name: "d".into(),
+                tree,
+                scenario,
+            },
+            &PipelineConfig::new(buffopt_buffers::catalog::ibm_like()),
+        );
+        assert_eq!(rec.rung, Some(Rung::Problem3));
+        rec
+    }
+
+    fn dp_stats(rec: &mut NetOutcome) -> &mut Solution {
+        rec.solution.as_mut().expect("a DP rung served the record")
+    }
+
     fn parse_error_record() -> NetOutcome {
         buffopt_pipeline::optimize_input(
             &NetInput::Failed {
@@ -660,16 +683,18 @@ mod tests {
     #[test]
     fn candidate_pressure_gauges_track_high_water_marks() {
         let m = Metrics::default();
-        let mut rec = parse_error_record();
-        rec.candidate_peak = 40;
-        rec.merge_peak = 900;
-        rec.merge_enumerated = 1000;
-        rec.merge_pruned = 600;
+        let mut rec = dp_record();
+        let s = dp_stats(&mut rec);
+        s.peak_candidates = 40;
+        s.peak_merge_product = 900;
+        s.merge_products_enumerated = 1000;
+        s.merge_products_pruned = 600;
         m.record_outcome(&rec);
-        rec.candidate_peak = 25;
-        rec.merge_peak = 1200;
-        rec.merge_enumerated = 500;
-        rec.merge_pruned = 900;
+        let s = dp_stats(&mut rec);
+        s.peak_candidates = 25;
+        s.peak_merge_product = 1200;
+        s.merge_products_enumerated = 500;
+        s.merge_products_pruned = 900;
         m.record_outcome(&rec);
         let snap = m.snapshot(
             CacheStats::default(),
@@ -749,11 +774,11 @@ mod tests {
     #[test]
     fn resource_gauges_and_cancellations_accumulate() {
         let m = Metrics::default();
-        let mut rec = parse_error_record();
-        rec.arena_peak = 4096;
+        let mut rec = dp_record();
+        dp_stats(&mut rec).peak_arena_bytes = 4096;
         rec.degraded_by = Some(buffopt::BudgetResource::ArenaBytes);
         m.record_outcome(&rec);
-        rec.arena_peak = 1024; // lower peak must not shrink the gauge
+        dp_stats(&mut rec).peak_arena_bytes = 1024; // lower peak must not shrink the gauge
         rec.degraded_by = None;
         m.record_outcome(&rec);
         m.record_cancelled(CancelReason::Deadline);
@@ -809,9 +834,8 @@ mod tests {
         a.record_request();
         a.record_conn_error();
         a.record_cancelled(CancelReason::Disconnect);
-        let mut rec = parse_error_record();
-        rec.candidate_peak = 40;
-        rec.rung = Some(Rung::Problem3);
+        let mut rec = dp_record();
+        dp_stats(&mut rec).peak_candidates = 40;
         rec.wall = Duration::from_millis(2);
         a.record_outcome(&rec);
 
@@ -819,7 +843,7 @@ mod tests {
         b.record_request();
         b.record_request();
         b.record_rejected_max_conns();
-        rec.candidate_peak = 90;
+        dp_stats(&mut rec).peak_candidates = 90;
         m_record_with_wall(&b, &mut rec, Duration::from_millis(500));
 
         let mut snap = a.snapshot(

@@ -818,7 +818,7 @@ impl Shard {
                 }
                 TakeLine::Line(bytes) => {
                     conn.deadline = None;
-                    let framed = shared.opts.frame_check && is_framed(&bytes);
+                    let framed = is_framed(&bytes);
                     let line: String = if framed {
                         // Frame validation is a decode step of its own,
                         // with its own arming of the decode fault seam:

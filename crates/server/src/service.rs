@@ -8,8 +8,9 @@
 //! * `{"cmd":"optimize","id":"bus7","net":"driver 300 2e-11\n..."}` —
 //!   optimize one net (the `.net` text with newlines escaped). `cmd`
 //!   may be omitted when `net` is present; `id` defaults to `"net"`.
-//!   The response is the pipeline's per-net JSONL record with two extra
-//!   fields: `"cache":"hit"|"miss"` and `"worker":<index>`.
+//!   The response is the pipeline's per-net JSONL record followed by its
+//!   envelope: `"cache":"hit"|"miss"`, `"worker":<index>` and the run's
+//!   telemetry (`wall_ms` and the DP counters).
 //! * `{"cmd":"stats"}` — the engine's [`MetricsSnapshot`] as JSON; when
 //!   serving runs across several per-shard engines the snapshot is the
 //!   aggregated fleet view plus a per-shard breakdown.
@@ -20,12 +21,12 @@
 //!   get an explicit `{"error":"shutting_down"}` instead of a silently
 //!   dropped line.
 //!
-//! With [`ServeOptions::frame_check`] on, a request line may be wrapped
-//! in a length+CRC frame (`!F <len:8hex> <crc64:16hex> <json>`); the
-//! response mirrors the framing, a damaged or truncated frame gets a
-//! typed `{"error":"bad_frame","detail":...}`, and plain lines keep
-//! working untouched on the same connection (per-request negotiation, so
-//! old clients never see a frame).
+//! A request line may be wrapped in a length+CRC frame
+//! (`!F <len:8hex> <crc64:16hex> <json>`), a prefix no plain request can
+//! start with; the response mirrors the framing, a damaged or truncated
+//! frame gets a typed `{"error":"bad_frame","detail":...}`, and plain
+//! lines keep working untouched on the same connection (per-line
+//! negotiation, so old clients never see a frame).
 //!
 //! Malformed request lines get `{"error":"..."}` responses; a net that
 //! fails to *parse* is not a protocol error — it produces a regular
@@ -72,12 +73,13 @@
 //! [`Rejection`]: crate::Rejection
 //! [`Seam::Decode`]: buffopt_pipeline::fault::Seam
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use buffopt::{CancelReason, CancelToken};
+use buffopt::{CancelReason, CancelToken, Solution};
 use buffopt_pipeline::fault::{FaultAction, Seam};
-use buffopt_pipeline::NetInput;
+use buffopt_pipeline::{NetInput, NetOutcome};
 
 use crate::engine::{Engine, Job, Served};
 
@@ -98,13 +100,6 @@ pub struct ServeOptions {
     /// one structured error response and the connection is closed. The
     /// cap is enforced incrementally as bytes arrive, before any newline.
     pub max_line_bytes: usize,
-    /// Accept length+CRC framed request lines (`!F <len> <crc> <json>`)
-    /// and mirror the framing on their responses. Negotiated per
-    /// request: plain lines keep working on the same connection, so old
-    /// clients are unaffected. A truncated or damaged frame gets a typed
-    /// `{"error":"bad_frame","detail":...}` response — never a parse
-    /// guess — and is counted in `connections.bad_frames`.
-    pub frame_check: bool,
     /// Maximum concurrently open client connections; `0` means
     /// unlimited. Accepts beyond the ceiling get one typed
     /// `{"error":"overloaded","detail":"max_conns"}` line and are closed
@@ -117,7 +112,6 @@ impl Default for ServeOptions {
         ServeOptions {
             read_timeout: Some(Duration::from_secs(120)),
             max_line_bytes: 1 << 20,
-            frame_check: false,
             max_conns: 0,
         }
     }
@@ -222,18 +216,41 @@ pub(crate) fn decode_job(
     })
 }
 
-/// The response line for a served request: the record with its serving
-/// provenance (`cache`, `worker`) spliced in.
+/// The response line for a served request: the answer record, then its
+/// envelope — serving provenance (`cache`, `worker`) and the run's
+/// telemetry ([`push_telemetry`]).
 pub(crate) fn served_json(served: &Served) -> String {
     let mut json = served.outcome.to_json();
     let closed = json.pop();
     debug_assert_eq!(closed, Some('}'));
-    json.push_str(&format!(
-        ",\"cache\":\"{}\",\"worker\":{}}}",
+    let _ = write!(
+        json,
+        ",\"cache\":\"{}\",\"worker\":{}",
         served.cache.as_str(),
         served.worker
-    ));
+    );
+    push_telemetry(&mut json, &served.outcome);
+    json.push('}');
     json
+}
+
+/// Appends the envelope's telemetry keys for `o`: the measured `wall_ms`
+/// and the serving DP run's `candidate_peak`, `merge_peak`,
+/// `merge_enumerated`, `merge_pruned` and `arena_peak` (0 when no DP
+/// rung served the net). A cache hit replays the computing run's values.
+pub(crate) fn push_telemetry(out: &mut String, o: &NetOutcome) {
+    let stat = |f: fn(&Solution) -> usize| o.solution.as_ref().map_or(0, f);
+    let _ = write!(
+        out,
+        ",\"wall_ms\":{:e},\"candidate_peak\":{},\"merge_peak\":{},\
+         \"merge_enumerated\":{},\"merge_pruned\":{},\"arena_peak\":{}",
+        o.wall.as_secs_f64() * 1e3,
+        stat(|s| s.peak_candidates),
+        stat(|s| s.peak_merge_product),
+        stat(|s| s.merge_products_enumerated),
+        stat(|s| s.merge_products_pruned),
+        stat(|s| s.peak_arena_bytes),
+    );
 }
 
 /// Test-only export of the request-line parser so the fuzz suite can

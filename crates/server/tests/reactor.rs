@@ -8,11 +8,12 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use buffopt::DpWorkspace;
 use buffopt_buffers::catalog;
 use buffopt_integrity::{decode_frame, encode_frame};
 use buffopt_netlist::{parse, write as write_net, ParsedNet};
 use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
-use buffopt_pipeline::{NetInput, PipelineConfig};
+use buffopt_pipeline::{optimize_input_with, NetInput, PipelineConfig};
 use buffopt_server::{serve_sharded, Engine, EngineOptions, NetDecoder, ServeOptions};
 use buffopt_workload::{adversarial, WorkloadConfig};
 
@@ -38,20 +39,27 @@ fn decoder() -> NetDecoder {
     })
 }
 
-fn healthy_net_request(id: &str) -> String {
+fn healthy_net_text() -> String {
     let (tree, scenario) = adversarial::valid_net(&WorkloadConfig::default());
     let node_names = (0..tree.len()).map(|_| None).collect();
-    let text = write_net(&ParsedNet {
+    write_net(&ParsedNet {
         name: None,
         tree,
         scenario,
         node_names,
-    });
+    })
+}
+
+fn net_request(id: &str, text: &str) -> String {
     let escaped = text
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n");
     format!("{{\"id\":\"{id}\",\"net\":\"{escaped}\"}}")
+}
+
+fn healthy_net_request(id: &str) -> String {
+    net_request(id, &healthy_net_text())
 }
 
 fn new_engine(jobs: usize) -> Arc<Engine> {
@@ -329,8 +337,8 @@ fn sharded_serving_routes_consistently_and_aggregates_stats() {
     }
 }
 
-/// Blanks the volatile fields (`wall_ms` always; `worker` is stable at
-/// jobs=1 but normalized anyway) so responses compare bytewise.
+/// Blanks the volatile envelope fields (`wall_ms` always; `worker` is
+/// stable at jobs=1 but normalized anyway) so responses compare bytewise.
 fn normalize(line: &str) -> String {
     let mut out = line.to_string();
     for key in ["\"wall_ms\":", "\"worker\":"] {
@@ -416,7 +424,8 @@ fn assert_matches_fixture(name: &str, expected: &str, actual: &[String]) {
 }
 
 /// The protocol's golden transcript: one request per protocol path, the
-/// responses normalized (`wall_ms`, `worker`) and compared bytewise with
+/// responses' envelopes normalized (`wall_ms`, `worker`) and compared
+/// bytewise with
 /// `fixtures/protocol_transcript.jsonl`, which was recorded from the
 /// front end as it stood before the serving path was rebuilt around
 /// completion callbacks. The `stats` response's values vary run to run,
@@ -426,7 +435,6 @@ fn protocol_transcript_matches_the_recorded_bytes() {
     let (addr, server) = start_reactor(
         vec![new_engine(1)],
         ServeOptions {
-            frame_check: true,
             max_line_bytes: 4096,
             ..ServeOptions::default()
         },
@@ -479,6 +487,71 @@ fn protocol_transcript_matches_the_recorded_bytes() {
         include_str!("fixtures/stats_keys.txt"),
         &key_paths(&stats),
     );
+}
+
+/// The keys a served response appends after the record: serving
+/// provenance, then the run's telemetry.
+const ENVELOPE_KEYS: [&str; 8] = [
+    "cache",
+    "worker",
+    "wall_ms",
+    "candidate_peak",
+    "merge_peak",
+    "merge_enumerated",
+    "merge_pruned",
+    "arena_peak",
+];
+
+/// `response` with every envelope key and its (number or plain string)
+/// value removed.
+fn strip_envelope(response: &str) -> String {
+    let mut out = response.to_string();
+    for key in ENVELOPE_KEYS {
+        let pat = format!(",\"{key}\":");
+        let start = out
+            .find(&pat)
+            .unwrap_or_else(|| panic!("no {key} in {response}"));
+        let vstart = start + pat.len();
+        let end = out[vstart..]
+            .find([',', '}'])
+            .map_or(out.len(), |i| vstart + i);
+        out.replace_range(start..end, "");
+    }
+    out
+}
+
+/// A served response is the pipeline's record plus an envelope: with the
+/// envelope keys removed, the miss and the hit are each byte-identical to
+/// the record a fresh workspace computes for the same net — a healthy
+/// net, one whose timing cannot be met, and one that does not parse.
+#[test]
+fn responses_are_the_pipeline_record_plus_an_envelope() {
+    let (addr, server) = start_reactor(vec![new_engine(1)], ServeOptions::default());
+    let mut conn = connect(addr);
+    // 20 mm of wire to a sink required 1 ps after the driver switches.
+    let late = "driver 400 3e-11\nwire source rx 1600 5e-12 20000 5.04e9\n\
+                sink rx 2e-14 1e-12 0.8\n";
+    for (id, text, rung) in [
+        ("healthy", healthy_net_text(), "\"rung\":\"problem3\""),
+        ("late", late.to_string(), "\"rung\":\"problem2\""),
+        ("broken", "tree{\n".to_string(), "\"rung\":null"),
+    ] {
+        let input = decoder()(id, &text);
+        let record =
+            optimize_input_with(&mut DpWorkspace::new(), &input, &pipeline_config()).to_json();
+        assert!(record.contains(rung), "{record}");
+        for cache in ["miss", "hit"] {
+            let response = roundtrip(&mut conn, &net_request(id, &text));
+            assert!(
+                response.contains(&format!("\"cache\":\"{cache}\"")),
+                "{response}"
+            );
+            assert_eq!(strip_envelope(&response), record, "{id} on a {cache}");
+        }
+    }
+    let ack = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
+    assert_eq!(ack, "{\"ok\":\"shutdown\"}");
+    server.join().expect("serve exits");
 }
 
 #[test]

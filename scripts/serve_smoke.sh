@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test the `buffopt-cli serve` newline-JSON TCP service end to end.
 #
-# Drives the sharded reactor (2 shards, --frame-check, a --max-conns
-# ceiling): a healthy request, a cache hit, a malformed line, a parse
+# Drives the sharded reactor (2 shards, a --max-conns ceiling): a healthy request, a cache hit, a malformed line, a parse
 # error, a length+CRC framed round-trip, a damaged frame, and a stats
 # probe asserting the aggregate counters and the per-shard breakdown,
 # then an orderly shutdown.
@@ -74,7 +73,7 @@ stop_server() {
     fi
 }
 
-start_server --jobs 2 --shards 2 --max-conns 64 --frame-check
+start_server --jobs 2 --shards 2 --max-conns 64
 
 python3 - "$addr" <<'PY'
 import json, socket, sys
