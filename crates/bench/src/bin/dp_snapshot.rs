@@ -37,11 +37,20 @@
 //! exactly and one-sided: any rise above the baseline row fails, with no
 //! tolerance, and a fall passes.
 //!
+//! A `search` section runs the served Problem 3 — the bounded count
+//! search, `buffopt::min_buffers_with` — on the comb nets, the scaling
+//! nets and a tier of long two-pin nets (4–40 mm, RATs 0.3–5 ns, meeting
+//! and missing timing), timed beside one uncapped `solve` of the same
+//! net. Its rows record the search's DP runs and `merge_rows_swept`,
+//! summed over the search, and the gate holds both exactly and one-sided
+//! like the size rows' counters.
+//!
 //! Every engine's stats come from its last timed sample, so no size runs
 //! an engine outside the measurement except `measure`'s one warm-up.
 
 use std::time::Instant;
 
+use buffopt::buffopt::{self as algo3, BuffOptOptions};
 use buffopt::dp_reference::{run_arena, run_reference, EngineConfig, EngineStats};
 use buffopt::iterative::{self, IterativeOptions};
 use buffopt::{DpWork, DpWorkspace, RunBudget};
@@ -113,6 +122,22 @@ fn comb_net(sinks: usize) -> RoutingTree {
         .expect("tooth");
     }
     segment::segment_wires(&b.build().expect("tree"), 400.0)
+        .expect("segment")
+        .tree
+}
+
+/// A two-pin net of `len_um` on the global layer, segmented at 500 µm
+/// as the pipeline serves it.
+fn two_pin_net(len_um: f64, rat_s: f64) -> RoutingTree {
+    let tech = Technology::global_layer();
+    let mut b = TreeBuilder::new(Driver::new(300.0, 20e-12));
+    b.add_sink(
+        b.source(),
+        tech.wire(len_um),
+        SinkSpec::new(20e-15, rat_s, 0.8),
+    )
+    .expect("sink");
+    segment::segment_wires(&b.build().expect("tree"), 500.0)
         .expect("segment")
         .tree
 }
@@ -190,6 +215,100 @@ fn measure_reference(
         );
     });
     (m, last.expect("measure runs at least once"))
+}
+
+/// One search row: the bounded count search and one uncapped run, each
+/// timed, with the served answer and the search's summed work.
+struct SearchRow {
+    search: Measured,
+    uncapped: Measured,
+    buffers: usize,
+    meets_timing: bool,
+    work: DpWork,
+}
+
+/// Times `min_buffers_with` and one uncapped `solve` read as
+/// `min_buffers` on `tree` (noise mode, full library), and checks that
+/// they serve the same answer.
+fn measure_search(
+    samples: usize,
+    tree: &RoutingTree,
+    scenario: &NoiseScenario,
+    ws: &mut DpWorkspace,
+) -> SearchRow {
+    let lib = catalog::ibm_like();
+    let opts = BuffOptOptions::default();
+    let mut served = None;
+    let search = measure(samples, || {
+        let sol = algo3::min_buffers_with(ws, tree, scenario, &lib, &opts).expect("solves");
+        served = Some((sol, ws.work()));
+    });
+    let (sol, work) = served.expect("measure runs at least once");
+    let mut one = None;
+    let uncapped = measure(samples, || {
+        let f = algo3::solve(ws, tree, Some(scenario), &lib, &opts).expect("solves");
+        one = Some(f.min_buffers());
+    });
+    let one = one.expect("measure runs at least once");
+    assert!(
+        one.buffers == sol.buffers && one.slack.to_bits() == sol.slack.to_bits(),
+        "the search served {} buffers at {:e} s, one run {} at {:e} s",
+        sol.buffers,
+        sol.slack,
+        one.buffers,
+        one.slack
+    );
+    SearchRow {
+        search,
+        uncapped,
+        buffers: sol.buffers,
+        meets_timing: sol.slack >= 0.0,
+        work,
+    }
+}
+
+/// The work counters a search row is gated on.
+const SEARCH_GATED: [&str; 2] = ["dp_runs", "merge_rows_swept"];
+
+/// `(net, counters)` per row of a snapshot's `search` section.
+fn search_rows(json: &str) -> Vec<(String, [Option<u64>; SEARCH_GATED.len()])> {
+    let Some(at) = json.find("\"search\":[") else {
+        return Vec::new();
+    };
+    json[at..]
+        .split("{\"net\":\"")
+        .skip(1)
+        .filter_map(|row| {
+            let net = row.split('"').next()?.to_string();
+            Some((
+                net,
+                SEARCH_GATED.map(|c| number_after(row, &format!("\"{c}\":"))),
+            ))
+        })
+        .collect()
+}
+
+/// The search rows' half of the gate: a row fails if its DP runs or
+/// merge rows swept rose above the baseline's, or it lost a counter the
+/// baseline has. Rows absent from the baseline are skipped.
+fn gate_search(baseline: &str, fresh: &str) -> Result<(), String> {
+    let base = search_rows(baseline);
+    for (net, counters) in search_rows(fresh) {
+        let Some((_, b)) = base.iter().find(|(n, _)| *n == net) else {
+            eprintln!("gate: search {net}: no baseline row, skipped");
+            continue;
+        };
+        for (k, name) in SEARCH_GATED.iter().enumerate() {
+            match (counters[k], b[k]) {
+                (Some(n), Some(base_n)) if n > base_n => {
+                    return Err(format!("search {net} {name} rose from {base_n} to {n}"));
+                }
+                (None, Some(_)) => return Err(format!("search {net} fresh snapshot lacks {name}")),
+                _ => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The work-counter fields of a size row (leading comma included).
@@ -318,7 +437,7 @@ fn gate_against(baseline: &str, fresh: &str, tolerance_pct: f64) -> Result<(), S
             ));
         }
     }
-    Ok(())
+    gate_search(baseline, fresh)
 }
 
 fn main() {
@@ -464,6 +583,79 @@ fn main() {
         ));
     }
 
+    // Search tier: the served Problem 3 against one uncapped run, on the
+    // comb nets, the scaling nets, and long two-pin nets whose answers
+    // need many buffers or miss timing (the search's worst case).
+    let mut search_rows_json: Vec<String> = Vec::new();
+    let mut tier_rows: Vec<String> = Vec::new();
+    let two_pin: Vec<(String, RoutingTree)> = [4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 40.0]
+        .iter()
+        .flat_map(|&mm: &f64| {
+            [0.3, 0.6, 1.2, 2.5, 5.0].map(|ns: f64| {
+                (
+                    format!("two-pin/{mm}mm/{ns}ns"),
+                    two_pin_net(mm * 1000.0, ns * 1e-9),
+                )
+            })
+        })
+        .collect();
+    let combs: Vec<(String, RoutingTree)> = [2usize, 4, 8, 16]
+        .iter()
+        .map(|&n| (format!("comb/{n}"), comb_net(n)))
+        .collect();
+    let scalings: Vec<(String, RoutingTree)> = scaling_sizes
+        .iter()
+        .map(|&n| {
+            let tree = scaling_net(&ScalingConfig {
+                sinks: n,
+                ..ScalingConfig::default()
+            });
+            (format!("scaling/{n}"), tree)
+        })
+        .collect();
+    for (tier, nets, tier_samples) in [
+        ("comb", &combs, samples),
+        ("scaling", &scalings, scaling_samples),
+        ("two-pin", &two_pin, samples),
+    ] {
+        let (mut search_ns, mut uncapped_ns) = (0u64, 0u64);
+        for (name, tree) in nets {
+            let scenario = NoiseScenario::estimation(tree, 0.7, 7.2e9);
+            let r = measure_search(tier_samples, tree, &scenario, &mut ws);
+            search_ns += r.search.median_ns;
+            uncapped_ns += r.uncapped.median_ns;
+            let ratio = r.search.median_ns as f64 / r.uncapped.median_ns.max(1) as f64;
+            eprintln!(
+                "search {name:<20} {} buffers{}, {} DP runs, {ratio:.2}x one uncapped run",
+                r.buffers,
+                if r.meets_timing {
+                    ""
+                } else {
+                    " (timing unmet)"
+                },
+                r.work.dp_runs,
+            );
+            search_rows_json.push(format!(
+                "{{\"net\":\"{name}\",\"nodes\":{},\"buffers\":{},\"meets_timing\":{},\
+                 \"search\":{},\"uncapped\":{},\"ratio\":{ratio:.3},\"dp_runs\":{},\
+                 \"merge_rows_swept\":{}}}",
+                tree.len(),
+                r.buffers,
+                r.meets_timing,
+                json_engine(&r.search),
+                json_engine(&r.uncapped),
+                r.work.dp_runs,
+                r.work.merge_rows_swept,
+            ));
+        }
+        let ratio = search_ns as f64 / uncapped_ns.max(1) as f64;
+        eprintln!("search tier {tier}: {ratio:.3}x the uncapped runs in total");
+        tier_rows.push(format!(
+            "{{\"tier\":\"{tier}\",\"search_ns\":{search_ns},\"uncapped_ns\":{uncapped_ns},\
+             \"ratio\":{ratio:.3}}}"
+        ));
+    }
+
     let alloc_counted = cfg!(feature = "alloc-count");
     // The `scaling` rows sit before `analysis` so `size_rows` (and
     // therefore the gate) covers them alongside the comb sizes.
@@ -472,14 +664,16 @@ fn main() {
          \"scaling_samples\":{},\
          \"alloc_counted\":{},\"net\":\"comb/400um\",\"sizes\":[{}],\
          \"scaling\":[{}],\
-         \"analysis\":[{}]}}\n",
+         \"analysis\":[{}],\"search_tiers\":[{}],\"search\":[{}]}}\n",
         if quick { "quick" } else { "full" },
         samples,
         scaling_samples,
         alloc_counted,
         rows.join(","),
         scaling_rows.join(","),
-        analysis_rows.join(",")
+        analysis_rows.join(","),
+        tier_rows.join(","),
+        search_rows_json.join(",")
     );
     std::fs::write(out_path, &json).expect("write snapshot");
     eprintln!("wrote {out_path}");
@@ -501,7 +695,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::gate_against;
+    use super::{gate_against, gate_search};
 
     /// A one-row snapshot with the given exact counters.
     fn snapshot(swept: Option<u64>, sorted: Option<u64>, arena_ns: u64) -> String {
@@ -550,5 +744,32 @@ mod tests {
         assert!(err.contains("lacks prune_rows_sorted"), "{err}");
         // The timing ratio gate is unchanged beside them.
         assert!(gate_against(&base, &snapshot(Some(500), Some(70), 110), 2.0).is_err());
+    }
+
+    /// A snapshot with one search row and the given exact counters.
+    fn search(runs: Option<u64>, swept: u64) -> String {
+        let runs = runs.map_or(String::new(), |r| format!(",\"dp_runs\":{r}"));
+        format!(
+            "{{\"analysis\":[],\"search_tiers\":[],\"search\":[{{\"net\":\"two-pin/4mm/0.3ns\",\
+             \"search\":{{\"median_ns\":9}}{runs},\"merge_rows_swept\":{swept}}}]}}"
+        )
+    }
+
+    #[test]
+    fn search_gates_are_exact_and_one_sided() {
+        let base = search(Some(4), 100);
+        assert!(gate_search(&base, &search(Some(4), 100)).is_ok());
+        assert!(gate_search(&base, &search(Some(1), 90)).is_ok());
+        let err = gate_search(&base, &search(Some(5), 100)).unwrap_err();
+        assert!(err.contains("dp_runs rose from 4 to 5"), "{err}");
+        let err = gate_search(&base, &search(Some(4), 101)).unwrap_err();
+        assert!(
+            err.contains("merge_rows_swept rose from 100 to 101"),
+            "{err}"
+        );
+        let err = gate_search(&base, &search(None, 100)).unwrap_err();
+        assert!(err.contains("lacks dp_runs"), "{err}");
+        // A baseline without a search section gates nothing.
+        assert!(gate_search("{}", &search(Some(9), 999)).is_ok());
     }
 }

@@ -22,7 +22,9 @@ use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuild
 use proptest::prelude::*;
 
 use crate::budget::RunBudget;
+use crate::buffopt::BuffOptOptions;
 use crate::dp_reference::{run_arena, run_reference, EngineConfig};
+use crate::oracle::assert_search_exact;
 use crate::workspace::DpWorkspace;
 
 /// Runs both engines and asserts identical results (or identical errors).
@@ -160,6 +162,27 @@ fn modes() -> Vec<(&'static str, EngineConfig)> {
     ]
 }
 
+/// The bounded count search against one run at the caller's cap, in the
+/// four pruning and polarity modes (the pairwise ones capped, as in
+/// [`modes`]) and under a caller cap between the probe caps.
+fn check_search(tree: &RoutingTree, scenario: &NoiseScenario, lib: &BufferLibrary, tag: &str) {
+    for (mode, conservative_pruning, polarity_aware, max_buffers) in [
+        ("noise", false, false, None),
+        ("capped", false, false, Some(3)),
+        ("polarity", false, true, None),
+        ("conservative", true, false, Some(4)),
+        ("conservative+polarity", true, true, Some(3)),
+    ] {
+        let opts = BuffOptOptions {
+            max_buffers,
+            conservative_pruning,
+            polarity_aware,
+            ..BuffOptOptions::default()
+        };
+        assert_search_exact(tree, scenario, lib, &opts, &format!("{tag}/search/{mode}"));
+    }
+}
+
 fn check_all_modes(
     tree: &RoutingTree,
     scenario: &NoiseScenario,
@@ -230,6 +253,7 @@ fn check_corpus(lib: &BufferLibrary) {
             let scenario = net.scenario.for_segmented(&seg);
             let tag = format!("{}@{seg_len}", path.file_name().unwrap().to_string_lossy());
             check_all_modes(&seg.tree, &scenario, lib, &mut ws, &tag);
+            check_search(&seg.tree, &scenario, lib, &tag);
         }
         seen += 1;
     }
@@ -296,6 +320,7 @@ proptest! {
             let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
             let mut ws = DpWorkspace::new();
             check_all_modes(&tree, &scenario, &catalog::ibm_like(), &mut ws, "random");
+            check_search(&tree, &scenario, &catalog::ibm_like(), "random");
         }
     }
 }
@@ -318,6 +343,7 @@ proptest! {
             let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
             let mut ws = DpWorkspace::new();
             check_all_modes(&tree, &scenario, &catalog::ibm_like(), &mut ws, "random-large");
+            check_search(&tree, &scenario, &catalog::ibm_like(), "random-large");
         }
     }
 }

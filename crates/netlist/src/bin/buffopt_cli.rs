@@ -17,7 +17,10 @@
 //! ```
 //!
 //! * `--segment UM` — Alpert–Devgan wire segmenting pitch (default 500);
-//! * `--mode` — `p3` (default): fewest buffers meeting noise+timing;
+//! * `--mode` — `p3` (default): fewest buffers meeting noise+timing,
+//!   found by the bounded count search (capped DP runs at 1, 2 and 4
+//!   buffers, then one uncapped run; the same answer as one uncapped
+//!   run), with the best-slack fallback when timing cannot be met;
 //!   `p2`: maximize slack under noise constraints; `cost`: cheapest
 //!   buffers meeting both; `noise`: pure noise avoidance (Algorithm 2,
 //!   continuous positions); `greedy`: the related-work iterative
@@ -849,9 +852,7 @@ fn main() -> ExitCode {
         Mode::P2 => {
             algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts).map(|f| f.max_slack())
         }
-        Mode::P3 => {
-            algo3::solve(&mut ws, &tree, Some(&scenario), lib, &opts).map(|f| f.min_buffers())
-        }
+        Mode::P3 => algo3::min_buffers_with(&mut ws, &tree, &scenario, lib, &opts),
         Mode::Cost => algo3::min_cost(&mut ws, &tree, &scenario, lib, &opts),
         Mode::Greedy => iterative::optimize(
             &tree,
