@@ -1,9 +1,12 @@
-//! Golden answers: the paper harnesses that serve Problem 3 through
-//! `run_batch` (`table3`, `table4`, `robustness`, `sensitivity`) must print
-//! exactly the committed tables. Only timing fields are masked — the
-//! `cpu(s)` column and any "in X s" phrase — so every count, slack and
-//! penalty is pinned, and a change to how the pipeline serves Problem 3
-//! that moves any answer fails here instead of in a hand comparison.
+//! Golden answers: the paper harnesses must print exactly the committed
+//! tables. Those that serve Problem 3 through `run_batch` (`table2`,
+//! `table3`, `table4`, `robustness`, `sensitivity`) pin how the pipeline
+//! serves it; `table1`, `fig1`, `fig2`, `fig3` and `fig7_maxlen` pin the
+//! population, the noise metric, the referee and the noise-avoidance
+//! walks. Only timing fields are masked — the `cpu(s)` column and any
+//! "in X s" phrase — so every count, slack and penalty is pinned, and a
+//! change that moves any answer fails here instead of in a hand
+//! comparison.
 //!
 //! To re-record after an intended answer change, run each harness and
 //! write its masked stdout over `tests/fixtures/<harness>.txt`.
@@ -88,6 +91,60 @@ fn masking_hides_only_timing_fields() {
     assert_eq!(
         mask_timing(out),
         "T\nalgorithm  total   cpu(s)\nBuffOpt      621     *\n\nnote 3 in * s, 2 in a row\n"
+    );
+}
+
+#[test]
+fn table1_answers_are_golden() {
+    assert_golden(
+        "table1",
+        env!("CARGO_BIN_EXE_table1"),
+        include_str!("fixtures/table1.txt"),
+    );
+}
+
+#[test]
+fn table2_answers_are_golden() {
+    assert_golden(
+        "table2",
+        env!("CARGO_BIN_EXE_table2"),
+        include_str!("fixtures/table2.txt"),
+    );
+}
+
+#[test]
+fn fig1_answers_are_golden() {
+    assert_golden(
+        "fig1",
+        env!("CARGO_BIN_EXE_fig1"),
+        include_str!("fixtures/fig1.txt"),
+    );
+}
+
+#[test]
+fn fig2_answers_are_golden() {
+    assert_golden(
+        "fig2",
+        env!("CARGO_BIN_EXE_fig2"),
+        include_str!("fixtures/fig2.txt"),
+    );
+}
+
+#[test]
+fn fig3_answers_are_golden() {
+    assert_golden(
+        "fig3",
+        env!("CARGO_BIN_EXE_fig3"),
+        include_str!("fixtures/fig3.txt"),
+    );
+}
+
+#[test]
+fn fig7_maxlen_answers_are_golden() {
+    assert_golden(
+        "fig7_maxlen",
+        env!("CARGO_BIN_EXE_fig7_maxlen"),
+        include_str!("fixtures/fig7_maxlen.txt"),
     );
 }
 
