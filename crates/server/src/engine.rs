@@ -776,10 +776,14 @@ impl Engine {
             self.inner.metrics.record_rejection(Rejection::ShuttingDown);
             return Err(Rejection::ShuttingDown);
         }
+        let entered = Instant::now();
         self.inner.metrics.record_request();
         if let Some(key) = job.cache_key {
-            if let Some((outcome, worker)) = self.inner.cache.get(key) {
+            if let Some((mut outcome, worker)) = self.inner.cache.get(key) {
                 self.inner.maybe_verify(Some(key), &job.input, &outcome);
+                // The hit's own time; the record and the DP counters are
+                // the computing run's.
+                outcome.wall = entered.elapsed();
                 return Ok(Submitted::Hit(Served {
                     outcome,
                     cache: CacheStatus::Hit,

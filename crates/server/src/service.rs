@@ -237,7 +237,9 @@ pub(crate) fn served_json(served: &Served) -> String {
 /// Appends the envelope's telemetry keys for `o`: the measured `wall_ms`
 /// and the serving DP run's `candidate_peak`, `merge_peak`,
 /// `merge_enumerated`, `merge_pruned` and `arena_peak` (0 when no DP
-/// rung served the net). A cache hit replays the computing run's values.
+/// rung served the net). A cache hit's `wall_ms` is the hit's own time,
+/// from admission to the cache answer; its DP counters replay the
+/// computing run's.
 pub(crate) fn push_telemetry(out: &mut String, o: &NetOutcome) {
     let stat = |f: fn(&Solution) -> usize| o.solution.as_ref().map_or(0, f);
     let _ = write!(

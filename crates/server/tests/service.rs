@@ -129,11 +129,17 @@ fn concurrent_clients_get_correct_answers_and_cache_works() {
         .count();
     assert_eq!(shared_hits + shared_misses, CLIENTS);
     assert!(shared_misses >= 1, "someone computed it first");
-    // All hits replay the original record byte-for-byte.
-    let hit_bodies: Vec<&str> = responses
+    // All hits replay the original record byte-for-byte; each stamps its
+    // own `wall_ms`.
+    let without_wall = |line: &str| {
+        let at = line.find("\"wall_ms\":").expect("wall_ms") + "\"wall_ms\":".len();
+        let end = at + line[at..].find(',').expect("more keys");
+        format!("{}_{}", &line[..at], &line[end..])
+    };
+    let hit_bodies: Vec<String> = responses
         .iter()
         .filter(|(_, s)| s.contains("\"cache\":\"hit\""))
-        .map(|(_, s)| s.as_str())
+        .map(|(_, s)| without_wall(s))
         .collect();
     for pair in hit_bodies.windows(2) {
         assert_eq!(pair[0], pair[1], "cache hits are identical");
