@@ -43,13 +43,16 @@
 //! and missing timing), timed beside one uncapped `solve` of the same
 //! net. Its rows record the search's DP runs and `merge_rows_swept`,
 //! summed over the search, and the gate holds both exactly and one-sided
-//! like the size rows' counters.
+//! like the size rows' counters. They also record the noise floor the
+//! search starts from (`floor`, Algorithm 2's buffer count) and whether
+//! Algorithm 2's placement meets timing (`floor_meets_timing`), ungated.
 //!
 //! Every engine's stats come from its last timed sample, so no size runs
 //! an engine outside the measurement except `measure`'s one warm-up.
 
 use std::time::Instant;
 
+use buffopt::algorithm2::{self, NoiseFloor};
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
 use buffopt::dp_reference::{run_arena, run_reference, EngineConfig, EngineStats};
 use buffopt::iterative::{self, IterativeOptions};
@@ -225,6 +228,8 @@ struct SearchRow {
     buffers: usize,
     meets_timing: bool,
     work: DpWork,
+    /// Algorithm 2's noise floor (`None` when it fails on the net).
+    floor: Option<NoiseFloor>,
 }
 
 /// Times `min_buffers_with` and one uncapped `solve` read as
@@ -250,6 +255,7 @@ fn measure_search(
         one = Some(f.min_buffers());
     });
     let one = one.expect("measure runs at least once");
+    let floor = algorithm2::noise_floor_with(ws, tree, scenario, &lib, &RunBudget::default()).ok();
     assert!(
         one.buffers == sol.buffers && one.slack.to_bits() == sol.slack.to_bits(),
         "the search served {} buffers at {:e} s, one run {} at {:e} s",
@@ -264,6 +270,7 @@ fn measure_search(
         buffers: sol.buffers,
         meets_timing: sol.slack >= 0.0,
         work,
+        floor,
     }
 }
 
@@ -625,18 +632,29 @@ fn main() {
             search_ns += r.search.median_ns;
             uncapped_ns += r.uncapped.median_ns;
             let ratio = r.search.median_ns as f64 / r.uncapped.median_ns.max(1) as f64;
+            let (floor, floor_meets_timing) = match r.floor {
+                Some(f) => (f.buffers.to_string(), f.meets_timing().to_string()),
+                None => ("null".to_string(), "null".to_string()),
+            };
             eprintln!(
-                "search {name:<20} {} buffers{}, {} DP runs, {ratio:.2}x one uncapped run",
+                "search {name:<20} {} buffers{} (floor {floor}{}), {} DP runs, \
+                 {ratio:.2}x one uncapped run",
                 r.buffers,
                 if r.meets_timing {
                     ""
                 } else {
                     " (timing unmet)"
                 },
+                if r.floor.is_some_and(|f| !f.meets_timing()) {
+                    ", misses timing"
+                } else {
+                    ""
+                },
                 r.work.dp_runs,
             );
             search_rows_json.push(format!(
                 "{{\"net\":\"{name}\",\"nodes\":{},\"buffers\":{},\"meets_timing\":{},\
+                 \"floor\":{floor},\"floor_meets_timing\":{floor_meets_timing},\
                  \"search\":{},\"uncapped\":{},\"ratio\":{ratio:.3},\"dp_runs\":{},\
                  \"merge_rows_swept\":{}}}",
                 tree.len(),

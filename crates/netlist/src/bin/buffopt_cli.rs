@@ -18,9 +18,11 @@
 //!
 //! * `--segment UM` — Alpert–Devgan wire segmenting pitch (default 500);
 //! * `--mode` — `p3` (default): fewest buffers meeting noise+timing,
-//!   found by the bounded count search (capped DP runs at 1, 2 and 4
-//!   buffers, then one uncapped run; the same answer as one uncapped
-//!   run), with the best-slack fallback when timing cannot be met;
+//!   found by the bounded count search (Algorithm 2's noise floor `L`,
+//!   one DP run capped at `L + ⌊L/8⌋` buffers when Algorithm 2's own
+//!   placement meets timing, then one uncapped run if that cap cut the
+//!   answer; the same answer as one uncapped run), with the best-slack
+//!   fallback when timing cannot be met;
 //!   `p2`: maximize slack under noise constraints; `cost`: cheapest
 //!   buffers meeting both; `noise`: pure noise avoidance (Algorithm 2,
 //!   continuous positions); `greedy`: the related-work iterative

@@ -1298,11 +1298,11 @@ mod tests {
     }
 
     #[test]
-    fn timing_unmet_net_runs_the_probes_then_one_uncapped_dp() {
-        // Problem 3 misses timing, so the net is served from rung 2: the
-        // count search runs its three probes, each cut by its cap, then
-        // one uncapped run whose best-slack solution serves the net. The
-        // cap is part of the memo key, so no run hits another's stores.
+    fn timing_unmet_net_whose_floor_misses_timing_runs_one_uncapped_dp() {
+        // Problem 3 misses timing, so the net is served from rung 2. The
+        // count search's floor placement misses timing too, so it runs no
+        // probe: one uncapped run, whose best-slack solution serves the
+        // net, and one memo lookup.
         let t = y_net(6_000.0, 4_000.0, 1e-12);
         let table = std::sync::Arc::new(buffopt::MemoTable::new(32 << 20, 4));
         let mut c = cfg();
@@ -1310,11 +1310,11 @@ mod tests {
         let mut ws = DpWorkspace::new();
         let o = optimize_net_with(&mut ws, "y-tight", &t, &estimation(&t), &c);
         assert_eq!(o.rung, Some(Rung::Problem2));
-        assert_eq!(ws.work().dp_runs, 4, "three probes and one uncapped run");
+        assert_eq!(ws.work().dp_runs, 1, "one uncapped run");
         let stats = table.stats();
         assert_eq!(
             (stats.hits, stats.misses),
-            (0, 4),
+            (0, 1),
             "one lookup per run: {stats:?}"
         );
     }

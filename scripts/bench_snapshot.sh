@@ -24,11 +24,12 @@
 #                     come from the stock allocator (marginally faster)
 #   --gate            fail if the fresh DP snapshot's arena/reference
 #                     median ratios drift more than 2% from the committed
-#                     BENCH_dp.json, or if any size's exact
-#                     merge_rows_swept or prune_rows_sorted counter rises
-#                     above the committed row (the committed file is
-#                     copied aside first, so the fresh snapshot still
-#                     lands in place)
+#                     BENCH_dp.json, or if an exact counter rises above
+#                     the committed row: merge_rows_swept or
+#                     prune_rows_sorted on a size row, dp_runs or
+#                     merge_rows_swept on a search row (the committed
+#                     file is copied aside first, so the fresh snapshot
+#                     still lands in place)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
