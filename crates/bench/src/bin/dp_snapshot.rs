@@ -1,63 +1,59 @@
-//! Reproducible DP performance snapshot: arena engine vs seed engine.
+//! Reproducible DP performance snapshot of the shipped van Ginneken
+//! engine.
 //!
-//! Runs both van Ginneken engines over comb nets of growing sink count
-//! (the `dp_scaling` shape) and writes one machine-readable JSON file —
-//! `BENCH_dp.json` by default — with per-size median wall time, candidate
-//! pressure, and (under `--features alloc-count`) heap allocation counts
-//! per run. A `scaling` section repeats the engine comparison on 64–512
-//! sink nets from the `buffopt-workload` scaling generator, where the
-//! predictive windowed merge separates from the seed engine's full
-//! cross-product enumeration (few samples — the reference engine is
-//! O(Σ |L|·|R|) there). A further `analysis` section times the greedy
-//! iterative optimizer with incremental probe re-analysis against the
-//! seed's full-resweep scoring, per size. This is the artifact
-//! `scripts/bench_snapshot.sh` produces and CI archives, so the perf
-//! trajectory of the DP core is diffable across commits.
+//! Runs the DP over comb nets of growing sink count and writes one
+//! machine-readable JSON file — `BENCH_dp.json` by default — with per-row
+//! median and minimum wall time, candidate pressure, the exact work
+//! counters, and (under `--features alloc-count`) heap allocations per
+//! run. Its sections:
 //!
-//! Usage: `dp_snapshot [--quick] [--out PATH] [--gate BASELINE]
-//!                     [--gate-tolerance-pct P]`
+//! * `sizes` — BuffOpt (noise mode, full library) on the 2–16-sink combs;
+//! * `scaling` — the same on 64–512-sink nets from the `buffopt-workload`
+//!   scaling generator, where the predictive windowed merge does most of
+//!   its skipping (few samples);
+//! * `ablation` — the design choices DESIGN.md calls out, one row per
+//!   variant: DelayOpt on the combs (the paper's Table III CPU column:
+//!   noise pruning leaves BuffOpt fewer candidates than DelayOpt),
+//!   DelayOpt(4) and BuffOpt(4) on a 10-sink comb, wire-segmenting
+//!   granularity, paper vs conservative pruning, and library size;
+//! * `analysis` — the greedy iterative optimizer with incremental probe
+//!   re-analysis, timed per comb size;
+//! * `search` and `search_tiers` — the served Problem 3, the bounded count
+//!   search `buffopt::min_buffers_with`, on the comb nets, the scaling
+//!   nets and a tier of long two-pin nets (4–40 mm, RATs 0.3–5 ns,
+//!   meeting and missing timing), timed beside one uncapped `solve` of the
+//!   same net. Rows also record the noise floor the search starts from
+//!   (`floor`, Algorithm 2's buffer count) and whether Algorithm 2's
+//!   placement meets timing (`floor_meets_timing`).
 //!
-//! `--quick` drops the per-size sample count (CI smoke); the full mode is
-//! what EXPERIMENTS.md records.
+//! Usage: `dp_snapshot [--quick] [--out PATH] [--gate BASELINE]`
+//!
+//! `--quick` drops the sample counts and the scaling tier to its 64-sink
+//! net (CI smoke); the full mode is what EXPERIMENTS.md records.
 //!
 //! `--gate BASELINE` compares the fresh snapshot against a committed
-//! baseline (typically the repo's `BENCH_dp.json`) and exits nonzero if
-//! any size's arena-vs-reference median ratio drifted by more than the
-//! tolerance (default 2%). Gating on the *ratio* — not the raw medians —
-//! makes the check portable across machines: both engines share the
-//! hardware, so a genuine regression in the arena engine (say, integrity
-//! bookkeeping leaking into the DP hot path) moves the ratio while mere
-//! machine speed does not.
+//! baseline (typically the repo's `BENCH_dp.json`) row by row, keyed by
+//! section and row name, and exits nonzero if an exact work counter rose:
+//! `merge_rows_swept`, `prune_rows_sorted`, `peak_candidates` and
+//! `merge_enumerated` on the size, scaling and ablation rows; `dp_runs`
+//! and `merge_rows_swept` on the search rows. The counters count rows,
+//! not time, so they are host-independent and the gate is exact and
+//! one-sided: any rise fails, with no tolerance, and a fall passes. A
+//! baseline row without a counter is not gated on it; a fresh row that
+//! lost one fails. Timing and allocations are recorded in every row but
+//! not gated: a constant-factor slowdown that moves no counter shows only
+//! in paired runs of the repository benchmark (`scripts/bench_paired.sh`).
 //!
-//! Every row also records the arena engine's exact work counters
-//! ([`buffopt::DpWork`]): rows fed to the fused merge's dominance sweeps,
-//! rows its emission filter dropped, mid-merge compactions, and rows any
-//! dominance sweep handed to a comparison sort. They count rows, not
-//! time, so the gate checks `merge_rows_swept` and `prune_rows_sorted`
-//! exactly and one-sided: any rise above the baseline row fails, with no
-//! tolerance, and a fall passes.
-//!
-//! A `search` section runs the served Problem 3 — the bounded count
-//! search, `buffopt::min_buffers_with` — on the comb nets, the scaling
-//! nets and a tier of long two-pin nets (4–40 mm, RATs 0.3–5 ns, meeting
-//! and missing timing), timed beside one uncapped `solve` of the same
-//! net. Its rows record the search's DP runs and `merge_rows_swept`,
-//! summed over the search, and the gate holds both exactly and one-sided
-//! like the size rows' counters. They also record the noise floor the
-//! search starts from (`floor`, Algorithm 2's buffer count) and whether
-//! Algorithm 2's placement meets timing (`floor_meets_timing`), ungated.
-//!
-//! Every engine's stats come from its last timed sample, so no size runs
-//! an engine outside the measurement except `measure`'s one warm-up.
+//! Every row's statistics come from its last timed sample, so no row runs
+//! the DP outside the measurement except `measure`'s one warm-up.
 
 use std::time::Instant;
 
 use buffopt::algorithm2::{self, NoiseFloor};
 use buffopt::buffopt::{self as algo3, BuffOptOptions};
-use buffopt::dp_reference::{run_arena, run_reference, EngineConfig, EngineStats};
 use buffopt::iterative::{self, IterativeOptions};
-use buffopt::{DpWork, DpWorkspace, RunBudget};
-use buffopt_buffers::catalog;
+use buffopt::{DpWork, DpWorkspace, RunBudget, Solution};
+use buffopt_buffers::{catalog, BufferLibrary};
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{segment, Driver, RoutingTree, SinkSpec, Technology, TreeBuilder};
 use buffopt_workload::{scaling_net, ScalingConfig};
@@ -109,8 +105,8 @@ mod counting_alloc {
     }
 }
 
-/// The `dp_scaling` comb: a trunk of 800 µm spans with one tooth per
-/// sink, segmented at 400 µm.
+/// The comb: a trunk of 800 µm spans with one tooth per sink, segmented
+/// at 400 µm.
 fn comb_net(sinks: usize) -> RoutingTree {
     let tech = Technology::global_layer();
     let mut b = TreeBuilder::new(Driver::new(300.0, 20e-12));
@@ -145,6 +141,26 @@ fn two_pin_net(len_um: f64, rat_s: f64) -> RoutingTree {
         .tree
 }
 
+/// The ablation net: a 4 mm stem to a junction with three sinks at
+/// 3–5 mm, segmented at `max_segment_um`.
+fn ablation_net(max_segment_um: f64) -> (RoutingTree, NoiseScenario) {
+    let tech = Technology::global_layer();
+    let mut b = TreeBuilder::new(Driver::new(300.0, 20e-12));
+    let j = b.add_internal(b.source(), tech.wire(4_000.0)).expect("j");
+    for i in 0..3 {
+        b.add_sink(
+            j,
+            tech.wire(3_000.0 + 1_000.0 * i as f64),
+            SinkSpec::new(15e-15, 1.5e-9, 0.8),
+        )
+        .expect("sink");
+    }
+    let tree = b.build().expect("tree");
+    let seg = segment::segment_wires(&tree, max_segment_um).expect("segment");
+    let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9).for_segmented(&seg);
+    (seg.tree, scenario)
+}
+
 struct Measured {
     median_ns: u64,
     min_ns: u64,
@@ -176,48 +192,54 @@ fn measure(samples: usize, mut f: impl FnMut()) -> Measured {
     }
 }
 
-/// Times the arena engine (noise mode, full library) on `tree`, and
-/// returns its stats and work counters from the last timed sample.
-fn measure_arena(
-    samples: usize,
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    ws: &mut DpWorkspace,
-) -> (Measured, (EngineStats, DpWork)) {
-    let (lib, cfg, budget) = (
-        catalog::ibm_like(),
-        EngineConfig::default(),
-        RunBudget::default(),
-    );
-    let mut last = None;
-    let m = measure(samples, || {
-        let (_, stats) = run_arena(tree, Some(scenario), &lib, &cfg, &budget, ws).expect("solves");
-        last = Some((stats, ws.work()));
-    });
-    (m, last.expect("measure runs at least once"))
+/// One DP row: the run's timing, its statistics and its work counters.
+struct DpRow {
+    time: Measured,
+    /// The last sample's best-slack solution (its statistics).
+    sol: Solution,
+    work: DpWork,
 }
 
-/// Times the seed engine (noise mode, full library) on `tree`, and
-/// returns its stats from the last timed sample.
-fn measure_reference(
+/// Times one [`algo3::solve`] of `tree` read as its best slack: BuffOpt
+/// with a `scenario`, DelayOpt without one.
+fn measure_dp(
     samples: usize,
     tree: &RoutingTree,
-    scenario: &NoiseScenario,
-) -> (Measured, EngineStats) {
-    let (lib, cfg, budget) = (
-        catalog::ibm_like(),
-        EngineConfig::default(),
-        RunBudget::default(),
-    );
+    scenario: Option<&NoiseScenario>,
+    lib: &BufferLibrary,
+    opts: &BuffOptOptions,
+    ws: &mut DpWorkspace,
+) -> DpRow {
     let mut last = None;
-    let m = measure(samples, || {
-        last = Some(
-            run_reference(tree, Some(scenario), &lib, &cfg, &budget)
-                .expect("solves")
-                .1,
-        );
+    let time = measure(samples, || {
+        let sol = algo3::solve(ws, tree, scenario, lib, opts)
+            .expect("solves")
+            .max_slack();
+        last = Some((sol, ws.work()));
     });
-    (m, last.expect("measure runs at least once"))
+    let (sol, work) = last.expect("measure runs at least once");
+    DpRow { time, sol, work }
+}
+
+/// A DP row's JSON object, keyed by `key` (its leading field, e.g.
+/// `"sinks":16`).
+fn json_dp_row(key: &str, tree: &RoutingTree, r: &DpRow) -> String {
+    let (s, w) = (&r.sol, &r.work);
+    format!(
+        "{{{key},\"nodes\":{},\"arena\":{},\"peak_candidates\":{},\"peak_merge_product\":{},\
+         \"merge_enumerated\":{},\"merge_pruned\":{},\"merge_rows_swept\":{},\
+         \"merge_rows_dropped\":{},\"merge_compactions\":{},\"prune_rows_sorted\":{}}}",
+        tree.len(),
+        json_engine(&r.time),
+        s.peak_candidates,
+        s.peak_merge_product,
+        s.merge_products_enumerated,
+        s.merge_products_pruned,
+        w.merge_rows_swept,
+        w.merge_rows_dropped,
+        w.merge_compactions,
+        w.prune_rows_sorted
+    )
 }
 
 /// One search row: the bounded count search and one uncapped run, each
@@ -274,61 +296,23 @@ fn measure_search(
     }
 }
 
-/// The work counters a search row is gated on.
-const SEARCH_GATED: [&str; 2] = ["dp_runs", "merge_rows_swept"];
+/// The exact work counters the gate holds, per snapshot section. Every
+/// other section (the greedy `analysis` rows, the search tier totals) is
+/// timing only.
+const GATED: [(&str, &[&str]); 4] = [
+    ("sizes", &DP_COUNTERS),
+    ("scaling", &DP_COUNTERS),
+    ("ablation", &DP_COUNTERS),
+    ("search", &["dp_runs", "merge_rows_swept"]),
+];
 
-/// `(net, counters)` per row of a snapshot's `search` section.
-fn search_rows(json: &str) -> Vec<(String, [Option<u64>; SEARCH_GATED.len()])> {
-    let Some(at) = json.find("\"search\":[") else {
-        return Vec::new();
-    };
-    json[at..]
-        .split("{\"net\":\"")
-        .skip(1)
-        .filter_map(|row| {
-            let net = row.split('"').next()?.to_string();
-            Some((
-                net,
-                SEARCH_GATED.map(|c| number_after(row, &format!("\"{c}\":"))),
-            ))
-        })
-        .collect()
-}
-
-/// The search rows' half of the gate: a row fails if its DP runs or
-/// merge rows swept rose above the baseline's, or it lost a counter the
-/// baseline has. Rows absent from the baseline are skipped.
-fn gate_search(baseline: &str, fresh: &str) -> Result<(), String> {
-    let base = search_rows(baseline);
-    for (net, counters) in search_rows(fresh) {
-        let Some((_, b)) = base.iter().find(|(n, _)| *n == net) else {
-            eprintln!("gate: search {net}: no baseline row, skipped");
-            continue;
-        };
-        for (k, name) in SEARCH_GATED.iter().enumerate() {
-            match (counters[k], b[k]) {
-                (Some(n), Some(base_n)) if n > base_n => {
-                    return Err(format!("search {net} {name} rose from {base_n} to {n}"));
-                }
-                (None, Some(_)) => return Err(format!("search {net} fresh snapshot lacks {name}")),
-                _ => {}
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The work-counter fields of a size row (leading comma included).
-fn json_work(w: &DpWork) -> String {
-    format!(
-        ",\"merge_rows_swept\":{},\"merge_rows_dropped\":{},\"merge_compactions\":{},\
-         \"prune_rows_sorted\":{}",
-        w.merge_rows_swept, w.merge_rows_dropped, w.merge_compactions, w.prune_rows_sorted
-    )
-}
-
-/// The work counters the gate holds exactly: a size fails if one rises.
-const GATED_COUNTERS: [&str; 2] = ["merge_rows_swept", "prune_rows_sorted"];
+/// The counters a DP row (size, scaling or ablation) is gated on.
+const DP_COUNTERS: [&str; 4] = [
+    "merge_rows_swept",
+    "prune_rows_sorted",
+    "peak_candidates",
+    "merge_enumerated",
+];
 
 fn json_engine(m: &Measured) -> String {
     format!(
@@ -344,107 +328,88 @@ fn number_after(json: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// One size row of a snapshot, as the gate reads it.
-struct SizeRow {
-    sinks: u64,
-    /// Arena engine `(median_ns, min_ns)`.
-    arena: (u64, u64),
-    /// Seed engine `(median_ns, min_ns)`.
-    reference: (u64, u64),
-    /// The [`GATED_COUNTERS`], in order; `None` in snapshots that
-    /// predate a counter.
-    counters: [Option<u64>; GATED_COUNTERS.len()],
+/// The top-level objects of the array that starts right after `"name":[`
+/// in `json`, as slices; empty when the section is absent.
+fn section_rows<'a>(json: &'a str, name: &str) -> Vec<&'a str> {
+    let open = format!("\"{name}\":[");
+    let Some(at) = json.find(&open) else {
+        return Vec::new();
+    };
+    let body = &json[at + open.len()..];
+    let (mut rows, mut depth, mut row_start) = (Vec::new(), 0usize, 0usize);
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '[' => {
+                if depth == 0 {
+                    row_start = i;
+                }
+                depth += 1;
+            }
+            '}' | ']' if depth == 0 => break,
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    rows.push(&body[row_start..=i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    rows
 }
 
-/// Per size row of a snapshot's `sizes` and `scaling` sections.
-fn size_rows(json: &str) -> Vec<SizeRow> {
-    // The `analysis` rows also carry `"sinks"`, so only read up to there.
-    let sizes = json.split("\"analysis\":").next().unwrap_or(json);
+/// One gated row of a snapshot: `section/name` and the section's gated
+/// counters, in order (`None` where the row lacks one).
+type GatedRow = (String, Vec<(&'static str, Option<u64>)>);
+
+/// Every gated row of a snapshot. A row's name is its `net` or `variant`
+/// string, else its `sinks` count.
+fn gated_rows(json: &str) -> Vec<GatedRow> {
     let mut out = Vec::new();
-    for row in sizes.split("{\"sinks\":").skip(1) {
-        let digits: String = row.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let (Ok(sinks), Some(arena_at), Some(ref_at)) = (
-            digits.parse::<u64>(),
-            row.find("\"arena\":"),
-            row.find("\"reference\":"),
-        ) else {
-            continue;
-        };
-        if let (Some(arena), Some(arena_min), Some(reference), Some(ref_min)) = (
-            number_after(&row[arena_at..], "\"median_ns\":"),
-            number_after(&row[arena_at..], "\"min_ns\":"),
-            number_after(&row[ref_at..], "\"median_ns\":"),
-            number_after(&row[ref_at..], "\"min_ns\":"),
-        ) {
-            out.push(SizeRow {
-                sinks,
-                arena: (arena, arena_min),
-                reference: (reference, ref_min),
-                counters: GATED_COUNTERS.map(|c| number_after(row, &format!("\"{c}\":"))),
-            });
+    for (section, counters) in GATED {
+        for row in section_rows(json, section) {
+            let name = ["\"net\":\"", "\"variant\":\""]
+                .iter()
+                .find_map(|f| row.find(f).map(|at| &row[at + f.len()..]))
+                .and_then(|rest| rest.split('"').next().map(str::to_string))
+                .or_else(|| number_after(row, "\"sinks\":").map(|n| n.to_string()));
+            let Some(name) = name else { continue };
+            let values = counters
+                .iter()
+                .map(|&c| (c, number_after(row, &format!("\"{c}\":"))))
+                .collect();
+            out.push((format!("{section}/{name}"), values));
         }
     }
     out
 }
 
-/// Compares the fresh snapshot against `baseline`, size by size. A size
-/// fails if one of its [`GATED_COUNTERS`] rose above the baseline's at
-/// all, or is missing where the baseline has it (a baseline without a
-/// counter is not gated on it), or if both its arena/reference median ratio
-/// *and* its min-time ratio drifted beyond `tolerance_pct` — the min is
-/// far less sampling-noisy than a 5-sample median, so a genuine slowdown
-/// (which moves both) still trips while scheduler jitter on one sample
-/// does not. Returns `Err` naming the first failing size.
-fn gate_against(baseline: &str, fresh: &str, tolerance_pct: f64) -> Result<(), String> {
-    let base = size_rows(baseline);
-    let new = size_rows(fresh);
+/// Compares the fresh snapshot's gated rows against `baseline`'s. A row
+/// fails if one of its counters rose above the baseline row's at all, or
+/// is missing where the baseline has it; a baseline without a counter is
+/// not gated on it, and rows absent from the baseline are skipped.
+/// Timing is never compared. Returns `Err` naming the first failure.
+fn gate_against(baseline: &str, fresh: &str) -> Result<(), String> {
+    let base = gated_rows(baseline);
     if base.is_empty() {
-        return Err("baseline has no sizes section".to_string());
+        return Err("baseline has no gated rows".to_string());
     }
-    for row in &new {
-        let sinks = row.sinks;
-        let Some(b) = base.iter().find(|b| b.sinks == sinks) else {
-            // A fresh snapshot may carry sizes (e.g. a new scaling tier)
-            // an older committed baseline predates; gate only on the
-            // sizes present in both.
-            eprintln!("gate: sinks {sinks:>2}: no baseline row, skipped");
+    for (row, counters) in gated_rows(fresh) {
+        let Some((_, b)) = base.iter().find(|(n, _)| *n == row) else {
+            eprintln!("gate: {row}: no baseline row, skipped");
             continue;
         };
-        // Only a baseline that predates a counter skips its gate; a
-        // fresh row that lost it is a writer fault, not a pass.
-        for (k, name) in GATED_COUNTERS.iter().enumerate() {
-            match (row.counters[k], b.counters[k]) {
-                (Some(n), Some(base_n)) => {
-                    eprintln!("gate: sinks {sinks:>2}: {name} {n} (baseline {base_n})");
-                    if n > base_n {
-                        return Err(format!("{sinks}-sink {name} rose from {base_n} to {n}"));
-                    }
+        for (&(name, n), &(_, base_n)) in counters.iter().zip(b) {
+            match (n, base_n) {
+                (Some(n), Some(base_n)) if n > base_n => {
+                    return Err(format!("{row} {name} rose from {base_n} to {n}"));
                 }
-                (None, Some(_)) => {
-                    return Err(format!("{sinks}-sink fresh snapshot lacks {name}"));
-                }
-                (_, None) => {}
+                (None, Some(_)) => return Err(format!("{row}: fresh snapshot lacks {name}")),
+                _ => {}
             }
         }
-        let drift = |n: u64, d: u64, bn: u64, bd: u64| {
-            let base_ratio = bn as f64 / bd.max(1) as f64;
-            let ratio = n as f64 / d.max(1) as f64;
-            (ratio / base_ratio - 1.0) * 100.0
-        };
-        let median_drift = drift(row.arena.0, row.reference.0, b.arena.0, b.reference.0);
-        let min_drift = drift(row.arena.1, row.reference.1, b.arena.1, b.reference.1);
-        eprintln!(
-            "gate: sinks {sinks:>2}: arena/reference median drift {median_drift:+.1}%, \
-             min drift {min_drift:+.1}%"
-        );
-        if median_drift > tolerance_pct && min_drift > tolerance_pct {
-            return Err(format!(
-                "{sinks}-sink arena/reference ratio regressed (median {median_drift:+.1}%, \
-                 min {min_drift:+.1}%; tolerance {tolerance_pct}%)"
-            ));
-        }
     }
-    gate_search(baseline, fresh)
+    Ok(())
 }
 
 fn main() {
@@ -459,14 +424,10 @@ fn main() {
         .iter()
         .position(|a| a == "--gate")
         .and_then(|i| args.get(i + 1));
-    let tolerance_pct: f64 = args
-        .iter()
-        .position(|a| a == "--gate-tolerance-pct")
-        .and_then(|i| args.get(i + 1))
-        .map_or(2.0, |s| s.parse().expect("numeric tolerance"));
     let samples = if quick { 5 } else { 31 };
 
     let lib = catalog::ibm_like();
+    let opts = BuffOptOptions::default();
     let mut ws = DpWorkspace::new();
 
     let mut rows: Vec<String> = Vec::new();
@@ -474,80 +435,39 @@ fn main() {
     for sinks in [2usize, 4, 8, 16] {
         let tree = comb_net(sinks);
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
-
-        let (arena, (stats, work)) = measure_arena(samples, &tree, &scenario, &mut ws);
-        let (reference, ref_stats) = measure_reference(samples, &tree, &scenario);
-
-        let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
+        let r = measure_dp(samples, &tree, Some(&scenario), &lib, &opts, &mut ws);
         eprintln!(
-            "sinks {sinks:>2}: arena {:>9} ns, reference {:>9} ns ({speedup:.2}x), \
-             peak {} candidates / {} merge product, {} vs {} allocs/run, \
-             {} merge rows swept",
-            arena.median_ns,
-            reference.median_ns,
-            stats.peak_candidates,
-            stats.peak_merge_product,
-            arena.allocs_per_run,
-            reference.allocs_per_run,
-            work.merge_rows_swept,
+            "sinks {sinks:>2}: {:>9} ns, peak {} candidates / {} merge product, \
+             {} allocs/run, {} merge rows swept",
+            r.time.median_ns,
+            r.sol.peak_candidates,
+            r.sol.peak_merge_product,
+            r.time.allocs_per_run,
+            r.work.merge_rows_swept,
         );
-        rows.push(format!(
-            "{{\"sinks\":{},\"nodes\":{},\"arena\":{},\"reference\":{},\
-             \"speedup\":{:.3},\"peak_candidates\":{},\"peak_merge_product\":{},\
-             \"merge_enumerated\":{},\"merge_pruned\":{},\
-             \"reference_peak_candidates\":{}{}}}",
-            sinks,
-            tree.len(),
-            json_engine(&arena),
-            json_engine(&reference),
-            speedup,
-            stats.peak_candidates,
-            stats.peak_merge_product,
-            stats.merge_products_enumerated,
-            stats.merge_products_pruned,
-            ref_stats.peak_candidates,
-            json_work(&work),
-        ));
+        rows.push(json_dp_row(&format!("\"sinks\":{sinks}"), &tree, &r));
 
-        // Greedy iterative insertion, probe-scored two ways: incremental
-        // O(depth) table refreshes vs the seed's from-scratch re-audit of
-        // the whole tree per trial. Same objective, same result; the gap
-        // is the analysis kernel's incremental re-analysis payoff.
-        let incr_opts = IterativeOptions {
+        // Greedy iterative insertion, probe-scored by O(depth) incremental
+        // table refreshes.
+        let greedy_opts = IterativeOptions {
             noise: true,
             ..IterativeOptions::default()
         };
-        let full_opts = IterativeOptions {
-            full_resweep: true,
-            ..incr_opts.clone()
-        };
-        let incremental = measure(samples, || {
-            iterative::optimize(&tree, &scenario, &lib, &incr_opts).expect("greedy solves");
+        let greedy = measure(samples, || {
+            iterative::optimize(&tree, &scenario, &lib, &greedy_opts).expect("greedy solves");
         });
-        let full = measure(samples, || {
-            iterative::optimize(&tree, &scenario, &lib, &full_opts).expect("greedy solves");
-        });
-        let greedy_speedup = full.median_ns as f64 / incremental.median_ns.max(1) as f64;
-        eprintln!(
-            "          greedy incremental {:>9} ns, full resweep {:>9} ns ({greedy_speedup:.2}x)",
-            incremental.median_ns, full.median_ns,
-        );
+        eprintln!("          greedy incremental {:>9} ns", greedy.median_ns);
         analysis_rows.push(format!(
-            "{{\"sinks\":{},\"nodes\":{},\"incremental\":{},\"full_resweep\":{},\
-             \"speedup\":{:.3}}}",
-            sinks,
+            "{{\"sinks\":{sinks},\"nodes\":{},\"incremental\":{}}}",
             tree.len(),
-            json_engine(&incremental),
-            json_engine(&full),
-            greedy_speedup,
+            json_engine(&greedy),
         ));
     }
 
-    // Scaling tier: full 11-buffer library on 64–512-sink generated nets
-    // (the `buffopt-workload` scaling generator), where the predictive
-    // windowed merge separates from the seed engine's full cross-product
-    // enumeration. The reference engine is O(Σ |L|·|R|) here, so the tier
-    // runs far fewer samples than the comb sizes.
+    // Scaling tier: 64–512-sink generated nets (the `buffopt-workload`
+    // scaling generator), where the predictive windowed merge skips most
+    // of the raw cross product. Each run is long, so the tier takes few
+    // samples.
     let scaling_sizes: &[usize] = if quick { &[64] } else { &[64, 128, 256, 512] };
     let scaling_samples = if quick { 3 } else { 5 };
     let mut scaling_rows: Vec<String> = Vec::new();
@@ -557,37 +477,90 @@ fn main() {
             ..ScalingConfig::default()
         });
         let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
-        let (arena, (stats, work)) = measure_arena(scaling_samples, &tree, &scenario, &mut ws);
-        let (reference, ref_stats) = measure_reference(scaling_samples, &tree, &scenario);
-        let speedup = reference.median_ns as f64 / arena.median_ns.max(1) as f64;
-        eprintln!(
-            "scaling {sinks:>3}: arena {:>10} ns, reference {:>10} ns ({speedup:.2}x), \
-             enumerated {} / pruned {} of {} raw pairs, {} merge rows swept / {} dropped",
-            arena.median_ns,
-            reference.median_ns,
-            stats.merge_products_enumerated,
-            stats.merge_products_pruned,
-            ref_stats.merge_products_enumerated + ref_stats.merge_products_pruned,
-            work.merge_rows_swept,
-            work.merge_rows_dropped,
+        let r = measure_dp(
+            scaling_samples,
+            &tree,
+            Some(&scenario),
+            &lib,
+            &opts,
+            &mut ws,
         );
-        scaling_rows.push(format!(
-            "{{\"sinks\":{},\"nodes\":{},\"arena\":{},\"reference\":{},\
-             \"speedup\":{:.3},\"peak_candidates\":{},\"peak_merge_product\":{},\
-             \"merge_enumerated\":{},\"merge_pruned\":{},\
-             \"reference_merge_enumerated\":{}{}}}",
-            sinks,
-            tree.len(),
-            json_engine(&arena),
-            json_engine(&reference),
-            speedup,
-            stats.peak_candidates,
-            stats.peak_merge_product,
-            stats.merge_products_enumerated,
-            stats.merge_products_pruned,
-            ref_stats.merge_products_enumerated,
-            json_work(&work),
-        ));
+        eprintln!(
+            "scaling {sinks:>3}: {:>10} ns, enumerated {} / pruned {} merge pairs, \
+             {} merge rows swept / {} dropped",
+            r.time.median_ns,
+            r.sol.merge_products_enumerated,
+            r.sol.merge_products_pruned,
+            r.work.merge_rows_swept,
+            r.work.merge_rows_dropped,
+        );
+        scaling_rows.push(json_dp_row(&format!("\"sinks\":{sinks}"), &tree, &r));
+    }
+
+    // Ablation tier: one row per design choice DESIGN.md calls out.
+    let mut ablation_rows: Vec<String> = Vec::new();
+    let mut ablate = |variant: String,
+                      tree: &RoutingTree,
+                      scenario: Option<&NoiseScenario>,
+                      lib: &BufferLibrary,
+                      opts: &BuffOptOptions| {
+        let r = measure_dp(samples, tree, scenario, lib, opts, &mut ws);
+        eprintln!(
+            "ablation {variant:<22} {:>10} ns, peak {} candidates, {} merge rows enumerated",
+            r.time.median_ns, r.sol.peak_candidates, r.sol.merge_products_enumerated,
+        );
+        ablation_rows.push(json_dp_row(&format!("\"variant\":\"{variant}\""), tree, &r));
+    };
+    // DelayOpt on the combs, beside the `sizes` rows' BuffOpt.
+    for sinks in [2usize, 4, 8, 16] {
+        let tree = comb_net(sinks);
+        ablate(format!("delayopt/comb/{sinks}"), &tree, None, &lib, &opts);
+    }
+    // The paper's DelayOpt(4) setting, where noise pruning leaves BuffOpt
+    // fewer candidates than DelayOpt.
+    let comb10 = comb_net(10);
+    let comb10_scenario = NoiseScenario::estimation(&comb10, 0.7, 7.2e9);
+    let k4 = BuffOptOptions {
+        max_buffers: Some(4),
+        ..BuffOptOptions::default()
+    };
+    ablate("delayopt-k4/comb/10".into(), &comb10, None, &lib, &k4);
+    ablate(
+        "buffopt-k4/comb/10".into(),
+        &comb10,
+        Some(&comb10_scenario),
+        &lib,
+        &k4,
+    );
+    // Wire-segmenting granularity (coarser than ~1 mm leaves too few
+    // sites for the noise constraints on this net).
+    for seg_um in [1000usize, 500, 250, 125] {
+        let (tree, scenario) = ablation_net(seg_um as f64);
+        ablate(
+            format!("segment/{seg_um}um"),
+            &tree,
+            Some(&scenario),
+            &lib,
+            &opts,
+        );
+    }
+    // Paper (C, q) pruning vs conservative 4-D pruning, and library size.
+    let (tree, scenario) = ablation_net(400.0);
+    let conservative = BuffOptOptions {
+        conservative_pruning: true,
+        ..BuffOptOptions::default()
+    };
+    ablate("pruning/paper".into(), &tree, Some(&scenario), &lib, &opts);
+    ablate(
+        "pruning/conservative".into(),
+        &tree,
+        Some(&scenario),
+        &lib,
+        &conservative,
+    );
+    for small in [catalog::single_buffer(), lib.non_inverting(), lib.clone()] {
+        let variant = format!("library/{}", small.len());
+        ablate(variant, &tree, Some(&scenario), &small, &opts);
     }
 
     // Search tier: the served Problem 3 against one uncapped run, on the
@@ -675,13 +648,11 @@ fn main() {
     }
 
     let alloc_counted = cfg!(feature = "alloc-count");
-    // The `scaling` rows sit before `analysis` so `size_rows` (and
-    // therefore the gate) covers them alongside the comb sizes.
     let json = format!(
         "{{\"bench\":\"dp_snapshot\",\"mode\":\"{}\",\"samples\":{},\
          \"scaling_samples\":{},\
          \"alloc_counted\":{},\"net\":\"comb/400um\",\"sizes\":[{}],\
-         \"scaling\":[{}],\
+         \"scaling\":[{}],\"ablation\":[{}],\
          \"analysis\":[{}],\"search_tiers\":[{}],\"search\":[{}]}}\n",
         if quick { "quick" } else { "full" },
         samples,
@@ -689,6 +660,7 @@ fn main() {
         alloc_counted,
         rows.join(","),
         scaling_rows.join(","),
+        ablation_rows.join(","),
         analysis_rows.join(","),
         tier_rows.join(","),
         search_rows_json.join(",")
@@ -699,10 +671,8 @@ fn main() {
     if let Some(base_path) = gate_path {
         let baseline = std::fs::read_to_string(base_path)
             .unwrap_or_else(|e| panic!("cannot read gate baseline {base_path}: {e}"));
-        match gate_against(&baseline, &json, tolerance_pct) {
-            Ok(()) => eprintln!(
-                "gate: medians within {tolerance_pct}% and rows swept no higher than {base_path}"
-            ),
+        match gate_against(&baseline, &json) {
+            Ok(()) => eprintln!("gate: no exact work counter rose above {base_path}"),
             Err(why) => {
                 eprintln!("gate FAILED against {base_path}: {why}");
                 std::process::exit(1);
@@ -713,81 +683,99 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{gate_against, gate_search};
+    use super::gate_against;
 
-    /// A one-row snapshot with the given exact counters.
-    fn snapshot(swept: Option<u64>, sorted: Option<u64>, arena_ns: u64) -> String {
-        let field =
-            |name: &str, v: Option<u64>| v.map_or(String::new(), |v| format!(",\"{name}\":{v}"));
+    /// A snapshot whose `section` holds one row, keyed by `key`, with the
+    /// given counters and a timing object of `median_ns`.
+    fn snapshot(
+        section: &str,
+        key: &str,
+        counters: &[(&str, Option<u64>)],
+        median_ns: u64,
+    ) -> String {
+        let fields: String = counters
+            .iter()
+            .filter_map(|(name, v)| v.map(|v| format!(",\"{name}\":{v}")))
+            .collect();
         format!(
-            "{{\"sizes\":[{{\"sinks\":64,\"arena\":{{\"median_ns\":{arena_ns},\"min_ns\":{arena_ns}}},\
-             \"reference\":{{\"median_ns\":1000,\"min_ns\":1000}}{}{}}}],\"analysis\":[]}}",
-            field("merge_rows_swept", swept),
-            field("prune_rows_sorted", sorted),
+            "{{\"{section}\":[{{{key},\"arena\":{{\"median_ns\":{median_ns},\"min_ns\":{median_ns}}}\
+             {fields}}}],\"analysis\":[]}}"
         )
     }
 
     #[test]
-    fn counter_gates_are_exact_and_one_sided() {
-        let base = snapshot(Some(500), Some(70), 100);
-        assert!(gate_against(&base, &snapshot(Some(500), Some(70), 100), 2.0).is_ok());
-        assert!(gate_against(&base, &snapshot(Some(499), Some(69), 100), 2.0).is_ok());
-        let err = gate_against(&base, &snapshot(Some(501), Some(70), 100), 2.0).unwrap_err();
-        assert!(
-            err.contains("merge_rows_swept rose from 500 to 501"),
-            "{err}"
-        );
-        let err = gate_against(&base, &snapshot(Some(500), Some(71), 100), 2.0).unwrap_err();
-        assert!(
-            err.contains("prune_rows_sorted rose from 70 to 71"),
-            "{err}"
-        );
-        // A baseline that predates a counter is not gated on it.
-        assert!(gate_against(
-            &snapshot(None, None, 100),
-            &snapshot(Some(501), Some(71), 100),
-            2.0
-        )
-        .is_ok());
-        assert!(gate_against(
-            &snapshot(Some(500), None, 100),
-            &snapshot(Some(500), Some(71), 100),
-            2.0
-        )
-        .is_ok());
-        // A fresh snapshot that dropped a counter fails against one that has it.
-        let err = gate_against(&base, &snapshot(None, Some(70), 100), 2.0).unwrap_err();
-        assert!(err.contains("lacks merge_rows_swept"), "{err}");
-        let err = gate_against(&base, &snapshot(Some(500), None, 100), 2.0).unwrap_err();
-        assert!(err.contains("lacks prune_rows_sorted"), "{err}");
-        // The timing ratio gate is unchanged beside them.
-        assert!(gate_against(&base, &snapshot(Some(500), Some(70), 110), 2.0).is_err());
-    }
-
-    /// A snapshot with one search row and the given exact counters.
-    fn search(runs: Option<u64>, swept: u64) -> String {
-        let runs = runs.map_or(String::new(), |r| format!(",\"dp_runs\":{r}"));
-        format!(
-            "{{\"analysis\":[],\"search_tiers\":[],\"search\":[{{\"net\":\"two-pin/4mm/0.3ns\",\
-             \"search\":{{\"median_ns\":9}}{runs},\"merge_rows_swept\":{swept}}}]}}"
-        )
-    }
-
-    #[test]
-    fn search_gates_are_exact_and_one_sided() {
-        let base = search(Some(4), 100);
-        assert!(gate_search(&base, &search(Some(4), 100)).is_ok());
-        assert!(gate_search(&base, &search(Some(1), 90)).is_ok());
-        let err = gate_search(&base, &search(Some(5), 100)).unwrap_err();
-        assert!(err.contains("dp_runs rose from 4 to 5"), "{err}");
-        let err = gate_search(&base, &search(Some(4), 101)).unwrap_err();
-        assert!(
-            err.contains("merge_rows_swept rose from 100 to 101"),
-            "{err}"
-        );
-        let err = gate_search(&base, &search(None, 100)).unwrap_err();
-        assert!(err.contains("lacks dp_runs"), "{err}");
-        // A baseline without a search section gates nothing.
-        assert!(gate_search("{}", &search(Some(9), 999)).is_ok());
+    fn the_gate_is_exact_one_sided_and_blind_to_timing() {
+        let dp = [
+            "merge_rows_swept",
+            "prune_rows_sorted",
+            "peak_candidates",
+            "merge_enumerated",
+        ];
+        for (section, key, counters) in [
+            ("sizes", "\"sinks\":16", &dp[..]),
+            ("scaling", "\"sinks\":64", &dp[..]),
+            ("ablation", "\"variant\":\"delayopt/comb/4\"", &dp[..]),
+            (
+                "search",
+                "\"net\":\"two-pin/4mm/0.3ns\"",
+                &["dp_runs", "merge_rows_swept"][..],
+            ),
+        ] {
+            let row = |values: &[Option<u64>], ns: u64| {
+                let named: Vec<_> = counters
+                    .iter()
+                    .copied()
+                    .zip(values.iter().copied())
+                    .collect();
+                snapshot(section, key, &named, ns)
+            };
+            let all = |v: u64| vec![Some(v); counters.len()];
+            let base = row(&all(100), 1000);
+            assert_eq!(
+                gate_against(&base, &row(&all(100), 1000)),
+                Ok(()),
+                "{section}"
+            );
+            // Timing is recorded, not gated: a 10x slower row passes.
+            assert_eq!(
+                gate_against(&base, &row(&all(100), 10_000)),
+                Ok(()),
+                "{section}"
+            );
+            for (k, name) in counters.iter().enumerate() {
+                let with = |v: Option<u64>| {
+                    let mut values = all(100);
+                    values[k] = v;
+                    values
+                };
+                // A rise fails; a fall passes.
+                let err = gate_against(&base, &row(&with(Some(101)), 1000)).unwrap_err();
+                assert!(
+                    err.contains(&format!("{name} rose from 100 to 101")),
+                    "{err}"
+                );
+                assert_eq!(gate_against(&base, &row(&with(Some(99)), 1000)), Ok(()));
+                // A fresh row that lost the counter fails.
+                let err = gate_against(&base, &row(&with(None), 1000)).unwrap_err();
+                assert!(err.contains(&format!("lacks {name}")), "{err}");
+                // A baseline without the counter is not gated on it.
+                let older = row(&with(None), 1000);
+                assert_eq!(gate_against(&older, &row(&with(Some(999)), 1000)), Ok(()));
+            }
+            // Rows absent from the baseline are skipped.
+            let other = snapshot(
+                "sizes",
+                "\"sinks\":999",
+                &[("merge_rows_swept", Some(1))],
+                1,
+            );
+            assert_eq!(
+                gate_against(&other, &row(&all(999), 1000)),
+                Ok(()),
+                "{section}"
+            );
+        }
+        // A baseline with no gated rows gates nothing and says so.
+        assert!(gate_against("{}", &snapshot("sizes", "\"sinks\":2", &[], 1)).is_err());
     }
 }

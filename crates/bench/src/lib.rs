@@ -1,8 +1,7 @@
 //! Shared experiment machinery for regenerating the paper's tables and
 //! figures.
 //!
-//! Every table harness (`src/bin/table*.rs`) and Criterion bench runs the
-//! same flow:
+//! Every table harness (`src/bin/table*.rs`) runs the same flow:
 //!
 //! 1. [`prepare`] — generate the seeded 500-net population, segment every
 //!    wire (Alpert–Devgan preprocessing) and attach the estimation-mode

@@ -24,7 +24,7 @@ use crate::assignment::Assignment;
 use crate::budget::RunBudget;
 use crate::climb::{climb_wire, ClimbState, NOISE_TOL};
 use crate::error::CoreError;
-use crate::rebuild::{rebuild_with_insertions, Rebuilt, WireInsertion};
+use crate::rebuild::{rebuild_with_insertions, wire_piece, Rebuilt, WireInsertion};
 use crate::workspace::DpWorkspace;
 
 /// A buffered multi-sink net produced by [`avoid_noise`].
@@ -512,47 +512,31 @@ fn placement_slack(
             continue;
         };
         // Bottom to top: climb the piece below each insertion, then let
-        // the buffer drive the load. A lumped (zero-length) wire lies
-        // wholly above the buffers on it.
-        let share = |from: f64, to: f64| {
-            if wire.length > 0.0 {
-                (to - from) / wire.length
-            } else {
-                0.0
-            }
-        };
+        // the buffer drive the load; `wire_piece` cuts the wire as the
+        // rebuilt tree does.
         let first = insertions.partition_point(|i| i.wire.index() < v.index());
         let mut bottom = 0.0;
         for ins in insertions[first..].iter().take_while(|i| i.wire == v) {
             let at = ins.dist_from_bottom.clamp(0.0, wire.length);
-            (load, required) = climb_piece(wire, share(bottom, at), load, required);
+            (load, required) = climb_piece(&wire_piece(wire, bottom, at, false), load, required);
             required -= buffer.delay(load);
             load = buffer.input_capacitance;
             bottom = at;
         }
-        let top = if wire.length > 0.0 {
-            share(bottom, wire.length)
-        } else {
-            1.0
-        };
-        (load, required) = climb_piece(wire, top, load, required);
+        (load, required) =
+            climb_piece(&wire_piece(wire, bottom, wire.length, true), load, required);
         up[v.index()] = (load, required);
     }
     let d = tree.driver();
     at_source.1 - elmore::gate_delay(d.intrinsic_delay, d.resistance, at_source.0)
 }
 
-/// `(load, required time)` at the top of the share `frac` of `wire`'s
-/// length, given them at its bottom: the piece's π-model Elmore delay.
-fn climb_piece(wire: &Wire, frac: f64, load: f64, required: f64) -> (f64, f64) {
-    let piece = Wire {
-        resistance: wire.resistance * frac,
-        capacitance: wire.capacitance * frac,
-        length: wire.length * frac,
-    };
+/// `(load, required time)` at the top of `piece`, given them at its
+/// bottom: the piece's π-model Elmore delay.
+fn climb_piece(piece: &Wire, load: f64, required: f64) -> (f64, f64) {
     (
         load + piece.capacitance,
-        required - elmore::wire_delay(&piece, load),
+        required - elmore::wire_delay(piece, load),
     )
 }
 
@@ -877,6 +861,50 @@ mod tests {
                 floor.slack
             );
         }
+    }
+
+    #[test]
+    fn lumped_trunk_survives_the_rebuild() {
+        let tech = Technology::global_layer();
+        let mut b = TreeBuilder::new(Driver::new(300.0, 10e-12));
+        let hub = b
+            .add_internal(b.source(), Wire::from_rc(100.0, 0.2e-12, 0.0))
+            .expect("hub");
+        for len in [6_000.0, 9_000.0] {
+            b.add_sink(hub, tech.wire(len), SinkSpec::new(15e-15, 1e-9, 0.8))
+                .expect("sink");
+        }
+        let t = b.build().expect("tree");
+        let s = estimation(&t);
+        let floor = noise_floor_with(
+            &mut DpWorkspace::new(),
+            &t,
+            &s,
+            &lib(),
+            &RunBudget::default(),
+        )
+        .expect("floor");
+        let sol = avoid_noise(&t, &s, &lib()).expect("solve");
+        assert!(sol.inserted() > 0, "the net needs buffers");
+        let wire_c = |t: &RoutingTree| -> f64 {
+            t.node_ids()
+                .filter_map(|v| t.parent_wire(v))
+                .map(|w| w.capacitance)
+                .sum()
+        };
+        let (before, after) = (wire_c(&t), wire_c(&sol.tree));
+        assert!(
+            (after - before).abs() <= 1e-12 * before,
+            "wire capacitance {after:e} F rebuilt vs {before:e} F"
+        );
+        let audited = audit::delay(&sol.tree, &lib(), &sol.assignment)
+            .expect("audit")
+            .slack;
+        assert!(
+            (floor.slack - audited).abs() <= 1e-12 * audited.abs().max(1e-12),
+            "floor slack {} vs audited {audited}",
+            floor.slack
+        );
     }
 
     #[test]

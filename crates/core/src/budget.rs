@@ -23,24 +23,24 @@ use crate::error::{BudgetResource, CoreError};
 /// Resource limits for one optimizer run. All limits default to `None`
 /// (unlimited), which reproduces the unbudgeted behaviour exactly.
 ///
-/// Equality compares the limits and the degrade flag only — the
+/// Equality compares the limits and the armed deadline only — the
 /// [`cancel`](RunBudget::cancel) token is identity-shared runtime state,
 /// not configuration.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
-    /// Abort with [`CoreError::DeadlineExceeded`] once this instant has
-    /// passed. Checked at every tree node (DP) or round (greedy), so the
-    /// overshoot is bounded by one merge step.
+    /// The absolute deadline [`armed`](RunBudget::armed) resolved from
+    /// [`time_limit`](RunBudget::time_limit): past it the run aborts with
+    /// [`CoreError::DeadlineExceeded`]. Checked at every tree node (DP) or
+    /// round (greedy), so the overshoot is bounded by one merge step.
     ///
     /// [`CoreError::DeadlineExceeded`]: crate::CoreError::DeadlineExceeded
-    pub deadline: Option<Instant>,
-    /// A relative wall-clock allowance, armed into [`deadline`] by
-    /// [`armed`] when the run actually starts. Budgets are often built
+    deadline: Option<Instant>,
+    /// A relative wall-clock allowance, armed into an absolute deadline
+    /// by [`armed`] when the run actually starts. Budgets are often built
     /// long before the work runs (batch drivers enqueue nets behind a
     /// worker pool); carrying the `Duration` here means queue wait does
     /// not burn the net's time allowance.
     ///
-    /// [`deadline`]: RunBudget::deadline
     /// [`armed`]: RunBudget::armed
     pub time_limit: Option<Duration>,
     /// Abort with [`CoreError::BudgetExceeded`] when a candidate list (or
@@ -52,26 +52,17 @@ pub struct RunBudget {
     pub max_candidates: Option<usize>,
     /// Refuse trees with more nodes than this before doing any work.
     pub max_tree_nodes: Option<usize>,
-    /// Cap on the bytes held by the DP's provenance arena. Arena growth
+    /// Cap on the bytes held by the DP's provenance arena. Setting it also
+    /// turns on degrade-in-place: instead of erroring on candidate or
+    /// arena pressure, the DP deterministically clamps its candidate
+    /// frontier to a bounded top-K and finishes, tagging the solution with
+    /// the resource that tripped ([`Solution::degraded_by`]). Arena growth
     /// is append-only within a run, so once the cap trips it stays
-    /// tripped: the run either aborts ([`CoreError::BudgetExceeded`] with
-    /// [`BudgetResource::ArenaBytes`]) or — with [`degrade`] set —
-    /// clamps its frontier and finishes with a feasible-but-suboptimal
-    /// solution.
-    ///
-    /// [`CoreError::BudgetExceeded`]: crate::CoreError::BudgetExceeded
-    /// [`BudgetResource::ArenaBytes`]: crate::BudgetResource::ArenaBytes
-    /// [`degrade`]: RunBudget::degrade
-    pub max_arena_bytes: Option<usize>,
-    /// Degrade in place instead of erroring on candidate or arena
-    /// pressure: the DP deterministically clamps its candidate frontier
-    /// to a bounded top-K and finishes, tagging the solution with the
-    /// resource that tripped ([`Solution::degraded_by`]). Off by
-    /// default — the fail-hard contract (and bitwise reproducibility of
-    /// unbudgeted runs) is unchanged unless a caller opts in.
+    /// tripped. Without it the fail-hard contract (and bitwise
+    /// reproducibility of unbudgeted runs) holds.
     ///
     /// [`Solution::degraded_by`]: crate::Solution::degraded_by
-    pub degrade: bool,
+    pub max_arena_bytes: Option<usize>,
     /// Shared cooperative-cancellation flag, polled at merge-row stride
     /// inside the DP loops. Cancelling aborts the run with
     /// [`CoreError::Cancelled`] within microseconds; a default token is
@@ -88,7 +79,6 @@ impl PartialEq for RunBudget {
             && self.max_candidates == other.max_candidates
             && self.max_tree_nodes == other.max_tree_nodes
             && self.max_arena_bytes == other.max_arena_bytes
-            && self.degrade == other.degrade
     }
 }
 
@@ -109,24 +99,17 @@ impl RunBudget {
     }
 
     /// Starts the clock: resolves [`time_limit`] into an absolute
-    /// [`deadline`] anchored at `Instant::now()`. Every optimizer entry
-    /// point arms its budget first thing, so callers holding a budget
-    /// with only a relative limit need not call this themselves; arming
-    /// an already-armed budget (or one without a time limit) is a no-op.
-    /// When both a deadline and a time limit are present, the earlier of
-    /// the two wins.
+    /// deadline anchored at `Instant::now()`. Every optimizer entry point
+    /// arms its budget first thing, so callers holding a budget with only
+    /// a relative limit need not call this themselves; arming an
+    /// already-armed budget (or one without a time limit) is a no-op.
     ///
     /// [`time_limit`]: RunBudget::time_limit
-    /// [`deadline`]: RunBudget::deadline
     #[must_use]
     pub fn armed(&self) -> Self {
         let mut b = self.clone();
         if let Some(limit) = b.time_limit.take() {
-            let from_now = Instant::now().checked_add(limit);
-            b.deadline = match (b.deadline, from_now) {
-                (Some(d), Some(n)) => Some(d.min(n)),
-                (d, n) => n.or(d),
-            };
+            b.deadline = Instant::now().checked_add(limit);
         }
         b
     }
@@ -152,12 +135,11 @@ impl RunBudget {
         self
     }
 
-    /// This budget with degrade-in-place enabled (see
-    /// [`degrade`](RunBudget::degrade)).
-    #[must_use]
-    pub fn with_degrade(mut self) -> Self {
-        self.degrade = true;
-        self
+    /// Whether candidate or arena pressure degrades the run in place
+    /// instead of erroring: exactly when an arena cap is set (see
+    /// [`max_arena_bytes`](RunBudget::max_arena_bytes)).
+    pub(crate) fn degrades(&self) -> bool {
+        self.max_arena_bytes.is_some()
     }
 
     /// Errors when the deadline has passed.
@@ -275,18 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn arming_keeps_the_earlier_of_deadline_and_limit() {
-        let past = Instant::now() - Duration::from_secs(1);
-        let b = RunBudget {
-            deadline: Some(past),
-            ..RunBudget::default()
-        }
-        .with_time_limit(Duration::from_secs(3600));
-        assert!(
-            matches!(b.armed().check_deadline(), Err(CoreError::DeadlineExceeded)),
-            "an explicit earlier deadline survives arming"
-        );
-        // And arming twice is a no-op.
+    fn arming_twice_is_a_no_op() {
         let a = RunBudget::default()
             .with_time_limit(Duration::from_secs(3600))
             .armed();
@@ -332,6 +303,13 @@ mod tests {
     }
 
     #[test]
+    fn an_arena_cap_turns_on_degrade_in_place() {
+        assert!(!RunBudget::default().degrades());
+        assert!(!RunBudget::default().with_max_candidates(8).degrades());
+        assert!(RunBudget::default().with_max_arena_bytes(4096).degrades());
+    }
+
+    #[test]
     fn checkpoint_reports_cancellation_before_the_deadline() {
         use buffopt_analysis::CancelReason;
         let b = RunBudget {
@@ -359,7 +337,6 @@ mod tests {
         b.cancel.cancel(CancelReason::Shutdown);
         assert_eq!(a, b, "the token is runtime state, not configuration");
         assert_ne!(a, RunBudget::default().with_max_candidates(11));
-        assert_ne!(a, a.clone().with_degrade());
         assert_ne!(a, a.clone().with_max_arena_bytes(1));
     }
 

@@ -98,8 +98,9 @@ pub struct Solution {
     /// Zero for optimizers that do not run the DP.
     pub peak_arena_bytes: usize,
     /// `Some(resource)` when the run hit a resource cap and — because the
-    /// budget opted into [`RunBudget::with_degrade`] — finished by
-    /// tightening pruning instead of erroring. The solution is feasible
+    /// budget set an arena cap ([`RunBudget::max_arena_bytes`]), which
+    /// turns on degrade-in-place — finished by tightening pruning instead
+    /// of erroring. The solution is feasible
     /// but possibly suboptimal; `None` means the full search ran.
     pub degraded_by: Option<BudgetResource>,
 }

@@ -1,7 +1,7 @@
 //! Differential tests: the arena engine versus the seed engine.
 //!
-//! Every test drives [`crate::dp_reference::run_arena`] and
-//! [`crate::dp_reference::run_reference`] over the same input and demands
+//! Every test drives the arena engine (`dp::run`) and the seed engine
+//! (`dp_reference::run`) over the same input and demands
 //! *identical* output — same number of source solutions, bitwise-equal
 //! slack/cost, equal buffer counts, and equal (sorted) insertion sets —
 //! in every operating mode: noise-constrained, DelayOpt, polarity-aware,
@@ -24,23 +24,37 @@ use proptest::prelude::*;
 use crate::algorithm2::noise_floor_with;
 use crate::budget::RunBudget;
 use crate::buffopt::{floor_cap, BuffOptOptions};
-use crate::dp_reference::{run_arena, run_reference, EngineConfig};
+use crate::dp::{self, DpConfig, SourceCand};
+use crate::dp_reference;
 use crate::oracle::assert_search_exact;
 use crate::workspace::DpWorkspace;
 
+/// A solution's insertions sorted by `(node, buffer)`: the arena engine
+/// emits them in no particular order.
+fn sorted_insertions(c: &SourceCand) -> Vec<(usize, usize)> {
+    let mut v: Vec<_> = c
+        .insertions
+        .iter()
+        .map(|&(n, b)| (n.index(), b.index()))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
 /// Runs both engines and asserts identical results (or identical errors).
-/// Returns the shared workspace so corpus loops exercise scratch reuse.
+/// The caller's workspace is shared so corpus loops exercise scratch
+/// reuse.
 fn assert_equiv(
     tree: &RoutingTree,
     scenario: Option<&NoiseScenario>,
     lib: &BufferLibrary,
-    cfg: &EngineConfig,
+    cfg: &DpConfig,
     ws: &mut DpWorkspace,
     label: &str,
 ) {
     let budget = RunBudget::default();
-    let reference = run_reference(tree, scenario, lib, cfg, &budget);
-    let arena = run_arena(tree, scenario, lib, cfg, &budget, ws);
+    let reference = dp_reference::run(tree, scenario, lib, cfg, &budget);
+    let arena = dp::run(&mut ws.dp, tree, scenario, lib, cfg, &budget, None);
     match (reference, arena) {
         (Ok((rs, rstats)), Ok((av, astats))) => {
             assert_eq!(
@@ -64,7 +78,11 @@ fn assert_equiv(
                     r.cost,
                     a.cost
                 );
-                assert_eq!(r.insertions, a.insertions, "{label}: solution {i} set");
+                assert_eq!(
+                    sorted_insertions(r),
+                    sorted_insertions(a),
+                    "{label}: solution {i} set"
+                );
             }
             // The arena engine's predictive pruning enumerates a subset
             // of the seed engine's legal pairs, so its peaks/totals may
@@ -108,21 +126,21 @@ fn assert_equiv(
 }
 
 /// The mode matrix every input is checked under.
-fn modes() -> Vec<(&'static str, EngineConfig)> {
+fn modes() -> Vec<(&'static str, DpConfig)> {
     vec![
-        ("noise", EngineConfig::default()),
+        ("noise", DpConfig::default()),
         (
             "delayopt",
-            EngineConfig {
+            DpConfig {
                 noise: false,
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
         (
             "polarity",
-            EngineConfig {
+            DpConfig {
                 polarity: true,
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
         // The pairwise modes keep 4-D-incomparable candidates, so lists grow
@@ -130,34 +148,34 @@ fn modes() -> Vec<(&'static str, EngineConfig)> {
         // classes (and the runtime) without changing what the test proves.
         (
             "cost_aware",
-            EngineConfig {
+            DpConfig {
                 cost_aware: true,
                 max_buffers: Some(4),
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
         (
             "conservative",
-            EngineConfig {
+            DpConfig {
                 conservative: true,
                 max_buffers: Some(4),
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
         (
             "conservative+polarity",
-            EngineConfig {
+            DpConfig {
                 conservative: true,
                 polarity: true,
                 max_buffers: Some(3),
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
         (
             "capped",
-            EngineConfig {
+            DpConfig {
                 max_buffers: Some(2),
-                ..EngineConfig::default()
+                ..DpConfig::default()
             },
         ),
     ]

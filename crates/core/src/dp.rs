@@ -24,8 +24,8 @@
 //! `(I, NS)` dominance before discarding, which restores exactness for
 //! libraries that break Theorem 5's assumptions.
 //!
-//! Hot-path layout (the arena rewrite; the pre-arena engine survives in
-//! [`crate::dp_reference`] for differential testing):
+//! Hot-path layout (the arena rewrite; the pre-arena engine survives,
+//! compiled for tests only, in `dp_reference` for differential testing):
 //!
 //! * **in-place wire climb** — the taken child list is mutated and
 //!   `retain`ed instead of map-allocating a new one;
@@ -1406,13 +1406,13 @@ const MEMO_MIN_SUBTREE: u32 = 4;
 /// Digest seed binding the full optimizer configuration: two runs may
 /// share a memo entry only when every knob that shapes a subtree frontier
 /// is identical. Folded are the [`DpConfig`] flags, the subtree-pure
-/// budget knobs (`max_candidates` + `degrade` — their clamps depend only
-/// on the node's own list, so a stored entry proves the storing run passed
-/// identical gates), and every electrical field of the buffer library
-/// (names are display-only and stay out). Whole-run budget state
-/// (`max_arena_bytes`) cannot be folded — memoization is disabled outright
-/// when it is set; time limits and cancellation never change frontier
-/// *content*, only whether a run finishes.
+/// `max_candidates` budget knob (its gate depends only on the node's own
+/// list, so a stored entry proves the storing run passed an identical
+/// gate), and every electrical field of the buffer library (names are
+/// display-only and stay out). Whole-run budget state (`max_arena_bytes`,
+/// which also turns on degrade-in-place) cannot be folded — memoization
+/// is disabled outright when it is set; time limits and cancellation
+/// never change frontier *content*, only whether a run finishes.
 fn memo_config_seed(cfg: &DpConfig, budget: &RunBudget, lib: &BufferLibrary) -> u64 {
     let mut h = Hasher64::new();
     h.write(&[
@@ -1420,7 +1420,6 @@ fn memo_config_seed(cfg: &DpConfig, budget: &RunBudget, lib: &BufferLibrary) -> 
         u8::from(cfg.conservative),
         u8::from(cfg.polarity),
         u8::from(cfg.cost_aware),
-        u8::from(budget.degrade),
     ]);
     let fold_opt = |h: &mut Hasher64, v: Option<usize>| match v {
         Some(x) => h.write(&(x as u64).to_le_bytes()),
@@ -1583,10 +1582,10 @@ fn store_frontier(
 ///
 /// Memoization is silently disabled when the table is absent or budget-0,
 /// or when `budget.max_arena_bytes` is set: the arena-byte clamp is
-/// whole-run state that a subtree-keyed entry cannot bind, unlike the
-/// subtree-pure `max_candidates`/`degrade` knobs which are folded into
-/// the digest seed.
-#[cfg(any(test, feature = "reference"))]
+/// whole-run state that a subtree-keyed entry cannot bind (and the only
+/// way a run degrades in place), unlike the subtree-pure `max_candidates`
+/// knob, which is folded into the digest seed.
+#[cfg(test)]
 pub(crate) fn run(
     scratch: &mut DpScratch,
     tree: &RoutingTree,
@@ -1702,7 +1701,7 @@ pub(crate) fn run_into(
                     climb_in_place(&mut left, lw, wire_current(cl), cfg)?;
                     climb_in_place(&mut right, rw, wire_current(cr), cfg)?;
                     let merged = if pairwise {
-                        if budget.degrade {
+                        if budget.degrades() {
                             // The materialized merge gates |L|·|R| up
                             // front; under degrade-in-place, shrink the
                             // operands so the product fits instead of
@@ -1733,7 +1732,7 @@ pub(crate) fn run_into(
         }
         match budget.admit_candidates(cands.len()) {
             Ok(()) => {}
-            Err(_) if budget.degrade => {
+            Err(_) if budget.degrades() => {
                 // Candidate-cap pressure under degrade-in-place: prune
                 // first (the gate intentionally sees the pre-prune
                 // count), then clamp the survivors to the cap. The run
@@ -1752,13 +1751,11 @@ pub(crate) fn run_into(
         prune(&mut cands, cfg, scratch, sorted);
         let arena_bytes = scratch.arena.bytes();
         stats.peak_arena_bytes = stats.peak_arena_bytes.max(arena_bytes);
-        if let Err(e) = budget.admit_arena_bytes(arena_bytes) {
-            if !budget.degrade {
-                return Err(e);
-            }
-            // Arena growth is append-only, so once over the cap the run
-            // stays degraded: clamp every subsequent frontier hard to
-            // slow further growth to a crawl and finish.
+        if budget.admit_arena_bytes(arena_bytes).is_err() {
+            // An arena cap always degrades in place. Arena growth is
+            // append-only, so once over the cap the run stays degraded:
+            // clamp every subsequent frontier hard to slow further growth
+            // to a crawl and finish.
             if stats.degraded_by.is_none() {
                 stats.degraded_by = Some(BudgetResource::ArenaBytes);
             }

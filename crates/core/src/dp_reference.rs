@@ -1,12 +1,11 @@
-//! The seed (pre-arena) van Ginneken engine, kept verbatim as a
-//! differential-testing and benchmarking reference.
+//! The seed (pre-arena) van Ginneken engine, kept verbatim as the
+//! differential tests' reference (`crate::difftest`).
 //!
 //! This is the implementation `crate::dp` shipped with before the
 //! arena-backed rewrite: every candidate carries its partial solution as a
 //! persistent `PSet` (`Arc` DAG), `merge` materializes the full |L|·|R|
 //! cross product, and pruning runs after the fact. It is compiled only for
-//! tests and under the `reference` feature (the bench crate enables it),
-//! so release binaries carry exactly one engine.
+//! tests, so every other build carries exactly one engine.
 //!
 //! The single deliberate difference from the seed: the pairwise
 //! (conservative / cost-aware) prune uses `Vec::remove` instead of
@@ -16,10 +15,9 @@
 //! emits, which lets the differential tests compare candidate lists
 //! positionally instead of as multisets.
 //!
-//! Public surface: [`EngineConfig`] / [`EngineSolution`] / [`EngineStats`]
-//! plus [`run_reference`] and [`run_arena`], so external harnesses (the
-//! bench snapshot bin, the differential tests) can drive both engines
-//! through one door.
+//! [`run`] speaks the arena engine's own types ([`dp::DpConfig`],
+//! [`dp::SourceCand`], [`dp::DpStats`]), so a test drives both engines
+//! with one configuration and compares their outputs field by field.
 
 use buffopt_buffers::{BufferId, BufferLibrary};
 use buffopt_noise::NoiseScenario;
@@ -28,148 +26,37 @@ use buffopt_tree::{NodeId, RoutingTree, Wire};
 use crate::budget::RunBudget;
 use crate::candidate::PSet;
 use crate::climb::NOISE_TOL;
-use crate::dp;
+use crate::dp::{self, DpStats};
 use crate::error::CoreError;
-use crate::workspace::DpWorkspace;
 
-/// Engine configuration shared by [`run_reference`] and [`run_arena`]
-/// (a public mirror of the internal DP config).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Enforce noise constraints (Algorithm 3) or ignore them (DelayOpt).
-    pub noise: bool,
-    /// Hard cap on inserted buffers.
-    pub max_buffers: Option<usize>,
-    /// Four-dimensional pairwise pruning (exact for Theorem-5-violating
-    /// libraries).
-    pub conservative: bool,
-    /// Track signal parity through inverting buffers.
-    pub polarity: bool,
-    /// Track buffer cost and include it in dominance.
-    pub cost_aware: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            noise: true,
-            max_buffers: None,
-            conservative: false,
-            polarity: false,
-            cost_aware: false,
-        }
-    }
-}
-
-impl EngineConfig {
-    fn to_dp(self) -> dp::DpConfig {
-        dp::DpConfig {
-            noise: self.noise,
-            max_buffers: self.max_buffers,
-            conservative: self.conservative,
-            polarity: self.polarity,
-            cost_aware: self.cost_aware,
-        }
-    }
-}
-
-/// One feasible source solution, with its insertion list materialized.
-#[derive(Debug, Clone)]
-pub struct EngineSolution {
-    /// Timing slack at the source including the driver gate delay.
-    pub slack: f64,
-    /// Number of inserted buffers.
-    pub count: usize,
-    /// Total cost of the inserted buffers.
-    pub cost: f64,
-    /// The insertions, sorted by `(node, buffer)` for comparability.
-    pub insertions: Vec<(NodeId, BufferId)>,
-}
-
-/// Candidate-pressure statistics, comparable across both engines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineStats {
-    /// Largest candidate list held live at any node.
-    pub peak_candidates: usize,
-    /// Largest raw |L|·|R| merge product encountered. The seed engine
-    /// reports the raw product here; the arena engine reports its
-    /// enumerated peak, which is never larger.
-    pub peak_merge_product: usize,
-    /// Total merge rows actually materialized across the run. For the
-    /// seed engine this is every legal pair; the arena engine's
-    /// predictive pruning makes it a (dominance-equivalent) subset.
-    pub merge_products_enumerated: usize,
-    /// Total merge pairs skipped: blocked (polarity, buffer cap) plus,
-    /// on the arena side, predictive witness skips. Per merge node
-    /// `enumerated + pruned` equals the raw product exactly, so the sum
-    /// is conserved across engines — the difftest asserts this.
-    pub merge_products_pruned: usize,
-}
-
-fn sorted_insertions(mut v: Vec<(NodeId, BufferId)>) -> Vec<(NodeId, BufferId)> {
-    v.sort_by_key(|&(n, b)| (n.index(), b.index()));
-    v
-}
-
-/// Runs the seed engine.
+/// Runs the seed engine. Its solutions are reduced to the best slack per
+/// buffer count as [`dp::run`]'s are; its statistics fill the fields the
+/// seed tracks (peak candidates, the raw merge-product peak, enumerated
+/// and blocked merge pairs) and leave the rest at their defaults.
 ///
 /// # Errors
 ///
 /// Same as the production DP: [`CoreError::EmptyLibrary`],
 /// [`CoreError::ScenarioMismatch`], [`CoreError::NoFeasibleCandidate`],
 /// and budget errors.
-pub fn run_reference(
+pub(crate) fn run(
     tree: &RoutingTree,
     scenario: Option<&NoiseScenario>,
     lib: &BufferLibrary,
-    cfg: &EngineConfig,
+    cfg: &dp::DpConfig,
     budget: &RunBudget,
-) -> Result<(Vec<EngineSolution>, EngineStats), CoreError> {
-    let (cands, stats) = run_seed(tree, scenario, lib, &cfg.to_dp(), budget)?;
+) -> Result<(Vec<dp::SourceCand>, DpStats), CoreError> {
+    let (cands, stats) = run_seed(tree, scenario, lib, cfg, budget)?;
     let out = cands
         .into_iter()
-        .map(|c| EngineSolution {
+        .map(|c| dp::SourceCand {
             slack: c.slack,
             count: c.count,
             cost: c.cost,
-            insertions: sorted_insertions(c.set.to_vec()),
+            insertions: c.set.to_vec(),
         })
         .collect();
     Ok((out, stats))
-}
-
-/// Runs the production arena engine through the same surface.
-///
-/// # Errors
-///
-/// Same as [`run_reference`].
-pub fn run_arena(
-    tree: &RoutingTree,
-    scenario: Option<&NoiseScenario>,
-    lib: &BufferLibrary,
-    cfg: &EngineConfig,
-    budget: &RunBudget,
-    ws: &mut DpWorkspace,
-) -> Result<(Vec<EngineSolution>, EngineStats), CoreError> {
-    let (cands, stats) = dp::run(&mut ws.dp, tree, scenario, lib, &cfg.to_dp(), budget, None)?;
-    let out = cands
-        .into_iter()
-        .map(|c| EngineSolution {
-            slack: c.slack,
-            count: c.count,
-            cost: c.cost,
-            insertions: sorted_insertions(c.insertions),
-        })
-        .collect();
-    Ok((
-        out,
-        EngineStats {
-            peak_candidates: stats.peak_candidates,
-            peak_merge_product: stats.peak_merge_product,
-            merge_products_enumerated: stats.merge_products_enumerated,
-            merge_products_pruned: stats.merge_products_pruned,
-        },
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +307,7 @@ fn run_seed(
     lib: &BufferLibrary,
     cfg: &dp::DpConfig,
     budget: &RunBudget,
-) -> Result<(Vec<SourceCand>, EngineStats), CoreError> {
+) -> Result<(Vec<SourceCand>, DpStats), CoreError> {
     if lib.is_empty() {
         return Err(CoreError::EmptyLibrary);
     }
@@ -440,7 +327,7 @@ fn run_seed(
     budget.admit_tree(tree.len())?;
     let wire_current = |v: NodeId| -> f64 { scenario.map_or(0.0, |s| s.wire_current(tree, v)) };
 
-    let mut stats = EngineStats::default();
+    let mut stats = DpStats::default();
     let mut lists: Vec<Option<Vec<DpCand>>> = vec![None; tree.len()];
     for v in tree.postorder() {
         budget.check_deadline()?;

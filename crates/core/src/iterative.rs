@@ -14,15 +14,16 @@
 //! Probes are scored through the incremental audit
 //! (`crate::probe`): each trial marks one node dirty, refreshes the
 //! path to the root, and rolls back — `O(depth)` instead of the seed's
-//! full-tree re-audit per trial. Set
-//! [`IterativeOptions::full_resweep`] to recover the seed's from-scratch
-//! scoring (the benchmark baseline).
+//! full-tree re-audit per trial. The seed's from-scratch scoring survives,
+//! compiled for tests only, as the reference the incremental path is
+//! checked against.
 
 use buffopt_buffers::{BufferId, BufferLibrary};
 use buffopt_noise::NoiseScenario;
 use buffopt_tree::{NodeId, RoutingTree};
 
 use crate::assignment::Assignment;
+#[cfg(test)]
 use crate::audit;
 use crate::budget::RunBudget;
 use crate::buffopt::Solution;
@@ -47,12 +48,6 @@ pub struct IterativeOptions {
     /// site (each site audits every buffer type, so sites are the unit
     /// of progress inside a round).
     pub budget: RunBudget,
-    /// Score every trial with a from-scratch audit instead of the
-    /// incremental sweeps. This is the seed behavior, kept as the
-    /// benchmark baseline; the incremental path scores the same
-    /// objective (violation counts are identical, slack agrees up to
-    /// floating-point association order).
-    pub full_resweep: bool,
 }
 
 /// Lexicographic objective: fewer violations, then strictly larger slack.
@@ -96,11 +91,8 @@ pub fn optimize(
         .node_ids()
         .filter(|&v| tree.node(v).kind.is_feasible_site())
         .collect();
-    let (current, current_score) = if options.full_resweep {
-        greedy_resweep(tree, scenario, lib, options, &budget, &sites)?
-    } else {
-        greedy_incremental(tree, scenario, lib, options, &budget, &sites)?
-    };
+    let (current, current_score) =
+        greedy_incremental(tree, scenario, lib, options, &budget, &sites)?;
     if options.noise && current_score.0 > 0 {
         return Err(CoreError::NoFeasibleCandidate);
     }
@@ -168,8 +160,10 @@ fn greedy_incremental(
 }
 
 /// The seed loop: every trial clones the assignment and re-audits the
-/// whole net from scratch. Kept behind
-/// [`IterativeOptions::full_resweep`] as the benchmark baseline.
+/// whole net from scratch. It scores the same objective as
+/// [`greedy_incremental`] (violation counts are identical, slack agrees up
+/// to floating-point association order), so it is that loop's reference.
+#[cfg(test)]
 fn greedy_resweep(
     tree: &RoutingTree,
     scenario: &NoiseScenario,
@@ -395,6 +389,18 @@ mod tests {
     #[test]
     fn incremental_matches_full_resweep() {
         let lib = catalog::ibm_like();
+        let resweep = |t: &RoutingTree, s: &NoiseScenario, o: &IterativeOptions| {
+            let sites: Vec<_> = t
+                .node_ids()
+                .filter(|&v| t.node(v).kind.is_feasible_site())
+                .collect();
+            let (assignment, (violations, slack)) =
+                greedy_resweep(t, s, &lib, o, &RunBudget::default(), &sites)?;
+            if o.noise && violations > 0 {
+                return Err(CoreError::NoFeasibleCandidate);
+            }
+            Ok((assignment, slack))
+        };
         for (len, pieces, noise) in [
             (6_000.0, 6, false),
             (12_000.0, 10, false),
@@ -409,19 +415,11 @@ mod tests {
                 ..Default::default()
             };
             let fast = optimize(&t, &s, &lib, &base);
-            let slow = optimize(
-                &t,
-                &s,
-                &lib,
-                &IterativeOptions {
-                    full_resweep: true,
-                    ..base
-                },
-            );
+            let slow = resweep(&t, &s, &base);
             match (fast, slow) {
-                (Ok(f), Ok(sl)) => {
-                    assert_eq!(f.assignment, sl.assignment, "len {len} noise {noise}");
-                    assert!((f.slack - sl.slack).abs() <= 1e-18 * (1.0 + sl.slack.abs()));
+                (Ok(f), Ok((assignment, slack))) => {
+                    assert_eq!(f.assignment, assignment, "len {len} noise {noise}");
+                    assert!((f.slack - slack).abs() <= 1e-18 * (1.0 + slack.abs()));
                 }
                 (Err(ef), Err(es)) => assert_eq!(ef, es),
                 (f, sl) => panic!("paths diverged on len {len}: {f:?} vs {sl:?}"),

@@ -68,8 +68,8 @@ mod climb;
 #[cfg(test)]
 mod difftest;
 mod dp;
-#[cfg(any(test, feature = "reference"))]
-pub mod dp_reference;
+#[cfg(test)]
+mod dp_reference;
 mod error;
 pub mod feasibility;
 pub mod iterative;

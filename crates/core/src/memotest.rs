@@ -75,10 +75,10 @@ fn assert_seeded_equals_cold(
     tree: &RoutingTree,
     scenario: Option<&NoiseScenario>,
     cfg: &DpConfig,
-    budget: &RunBudget,
     label: &str,
 ) {
     let lib = catalog::ibm_like();
+    let budget = &RunBudget::default();
     let mut ws = DpWorkspace::new();
     let cold = dp::run(&mut ws.dp, tree, scenario, &lib, cfg, budget, None);
     let table = MemoTable::new(64 << 20, 4);
@@ -128,11 +128,7 @@ fn check_all_modes(tree: &RoutingTree, scenario: &NoiseScenario, tag: &str) {
     for (mode, cfg) in modes() {
         let s = if cfg.noise { Some(scenario) } else { None };
         let label = format!("{tag}/{mode}");
-        assert_seeded_equals_cold(tree, s, &cfg, &RunBudget::default(), &label);
-        // Candidate-cap degrade is folded into the digest seed, so
-        // seeding must stay exact under it too.
-        let degraded = RunBudget::default().with_max_candidates(24).with_degrade();
-        assert_seeded_equals_cold(tree, s, &cfg, &degraded, &format!("{label}/degraded"));
+        assert_seeded_equals_cold(tree, s, &cfg, &label);
     }
 }
 
@@ -220,9 +216,7 @@ fn memo_is_disabled_under_arena_byte_caps() {
     let scenario = NoiseScenario::estimation(&tree, 0.7, 7.2e9);
     let lib = catalog::ibm_like();
     let table = MemoTable::new(64 << 20, 4);
-    let budget = RunBudget::default()
-        .with_max_arena_bytes(64 << 20)
-        .with_degrade();
+    let budget = RunBudget::default().with_max_arena_bytes(64 << 20);
     let mut ws = DpWorkspace::new();
     dp::run(
         &mut ws.dp,

@@ -41,6 +41,29 @@ pub(crate) struct Rebuilt {
     pub original: Vec<Option<NodeId>>,
 }
 
+/// The piece of `wire` from `from` to `to` µm above its lower end, as a
+/// wire of its own: the one rule for cutting a wire at insertions, shared
+/// by [`rebuild_with_insertions`] and Algorithm 2's placement slack.
+/// Resistance, capacitance and length scale with the span. A lumped
+/// (zero-length) wire has no positions along it, so it lies wholly above
+/// the buffers on it: its `top` piece (the one reaching the wire's upper
+/// end) is the whole wire and every other piece is empty.
+pub(crate) fn wire_piece(wire: &Wire, from: f64, to: f64, top: bool) -> Wire {
+    let span = (to - from).max(0.0);
+    let share = if wire.length > 0.0 {
+        span / wire.length
+    } else if top {
+        1.0
+    } else {
+        0.0
+    };
+    Wire {
+        resistance: wire.resistance * share,
+        capacitance: wire.capacitance * share,
+        length: span,
+    }
+}
+
 /// Rebuilds `tree` with the given insertions materialized.
 ///
 /// Multiple insertions on one wire are allowed; insertions at equal
@@ -91,29 +114,17 @@ pub(crate) fn rebuild_with_insertions(
         let factor = scenario.factor(v);
         let mut attach_to = new_of[parent.index()].expect("parent visited");
         let mut upper_bound = wire.length; // distance of the piece's top end
-        let piece = |from: f64, to: f64| -> Wire {
-            // Piece spanning [from, to] measured from the wire bottom.
-            let span = (to - from).max(0.0);
-            let frac = if wire.length > 0.0 {
-                span / wire.length
-            } else {
-                0.0
-            };
-            Wire {
-                resistance: wire.resistance * frac,
-                capacitance: wire.capacitance * frac,
-                length: span,
-            }
-        };
+        let mut top = true;
         for &(dist, buffer) in &per_wire[v.index()] {
-            let id = builder.add_internal(attach_to, piece(dist, upper_bound))?;
+            let id = builder.add_internal(attach_to, wire_piece(&wire, dist, upper_bound, top))?;
             original.push(None);
             factors.push(factor);
             pairs.push((id, buffer));
             attach_to = id;
             upper_bound = dist;
+            top = false;
         }
-        let last = piece(0.0, upper_bound);
+        let last = wire_piece(&wire, 0.0, upper_bound, top);
         let id = match &tree.node(v).kind {
             NodeKind::Sink(s) => builder.add_sink(attach_to, last, s.clone())?,
             NodeKind::Internal { feasible: true } => builder.add_internal(attach_to, last)?,
@@ -252,6 +263,52 @@ mod tests {
             .map(|v| r.scenario.wire_current(&r.tree, v))
             .sum();
         assert!((total_before - total_after).abs() < 1e-18);
+    }
+
+    /// A source-side lumped trunk (100 Ω, 0.2 pF, no length) above a hub.
+    fn lumped_trunk(insert_on_trunk: bool) -> (RoutingTree, Vec<WireInsertion>) {
+        let mut b = TreeBuilder::new(Driver::new(100.0, 0.0));
+        let hub = b
+            .add_internal(b.source(), Wire::from_rc(100.0, 0.2e-12, 0.0))
+            .expect("hub");
+        let s = b
+            .add_sink(
+                hub,
+                Wire::from_rc(500.0, 1000e-15, 2000.0),
+                SinkSpec::new(10e-15, 1e-9, 0.8),
+            )
+            .expect("sink");
+        let mut ins = vec![WireInsertion {
+            wire: s,
+            dist_from_bottom: 500.0,
+            buffer: BufferId::from_index(0),
+        }];
+        if insert_on_trunk {
+            ins.push(WireInsertion {
+                wire: hub,
+                dist_from_bottom: 0.0,
+                buffer: BufferId::from_index(0),
+            });
+        }
+        (b.build().expect("tree"), ins)
+    }
+
+    #[test]
+    fn lumped_wire_keeps_its_rc_above_the_buffers() {
+        for on_trunk in [false, true] {
+            let (t, ins) = lumped_trunk(on_trunk);
+            let r = rebuild_with_insertions(&t, &NoiseScenario::quiet(&t), &ins).expect("rebuild");
+            assert!(
+                (r.tree.total_capacitance() - t.total_capacitance()).abs() < 1e-27,
+                "wire capacitance {} vs {}",
+                r.tree.total_capacitance(),
+                t.total_capacitance()
+            );
+            // The whole lumped wire hangs off the source, above any buffer.
+            let first = r.tree.children(r.tree.source())[0];
+            let w = r.tree.parent_wire(first).expect("wire");
+            assert_eq!((w.resistance, w.capacitance), (100.0, 0.2e-12));
+        }
     }
 
     #[test]

@@ -864,7 +864,6 @@ fn main() -> ExitCode {
                 noise: true,
                 max_buffers: None,
                 budget: opts.budget.clone(),
-                ..IterativeOptions::default()
             },
         ),
         Mode::Noise => unreachable!("handled above"),

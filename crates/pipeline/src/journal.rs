@@ -435,7 +435,8 @@ mod tests {
 
     #[test]
     fn classify_reads_outcome_and_buffers() {
-        let line = crate::optimize_input(
+        let line = crate::optimize_input_with(
+            &mut buffopt::DpWorkspace::new(),
             &crate::NetInput::Failed {
                 name: "n\"et".into(),
                 error: "bad".into(),

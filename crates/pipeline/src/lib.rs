@@ -134,21 +134,18 @@ impl PipelineConfig {
         }
     }
 
-    /// The budget for one net, and the one place that decides it: an
-    /// arena byte cap turns on degrade-in-place. The time limit is carried
-    /// as a relative `Duration`; the optimizer arms it when the net
-    /// actually starts running, so a net that waited in a queue keeps its
-    /// whole allowance.
+    /// The budget for one net (an arena byte cap turns on
+    /// degrade-in-place inside it). The time limit is carried as a
+    /// relative `Duration`; the optimizer arms it when the net actually
+    /// starts running, so a net that waited in a queue keeps its whole
+    /// allowance.
     pub fn budget(&self) -> RunBudget {
-        RunBudget {
-            deadline: None,
-            time_limit: self.time_limit,
-            max_candidates: self.max_candidates,
-            max_tree_nodes: self.max_tree_nodes,
-            max_arena_bytes: self.max_arena_bytes,
-            degrade: self.max_arena_bytes.is_some(),
-            cancel: CancelToken::new(),
-        }
+        let mut b = RunBudget::default();
+        b.time_limit = self.time_limit;
+        b.max_candidates = self.max_candidates;
+        b.max_tree_nodes = self.max_tree_nodes;
+        b.max_arena_bytes = self.max_arena_bytes;
+        b
     }
 }
 
@@ -263,6 +260,15 @@ impl NetOutcome {
         }
     }
 
+    /// A `failed` record for `name` with `why` as its error and no
+    /// answer: what a caller serves when the net never ran (a dead
+    /// worker, a refused submission) or stopped early (cancellation).
+    pub fn failed(name: &str, why: &str) -> Self {
+        let mut o = NetOutcome::shell(name, Outcome::Failed);
+        o.error = Some(why.to_string());
+        o
+    }
+
     /// This record as one JSON object (no trailing newline): the answer
     /// only, so the same net under the same configuration serializes to
     /// the same bytes whichever run, worker or cache produced it. Run
@@ -342,7 +348,10 @@ fn resource_slug(r: BudgetResource) -> &'static str {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with quotes,
+/// backslashes and control characters escaped. The one JSON string
+/// writer of the records and of the server's responses.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -490,53 +499,6 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string payload".to_string()
     }
-}
-
-/// Optimizes one net down the degradation ladder. Never panics and never
-/// runs past the configured budget (plus one bounded DP step).
-pub fn optimize_net(
-    name: &str,
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    cfg: &PipelineConfig,
-) -> NetOutcome {
-    optimize_net_with(&mut DpWorkspace::new(), name, tree, scenario, cfg)
-}
-
-/// [`optimize_net`] with a caller-owned [`DpWorkspace`], so batch drivers
-/// and server workers amortize the DP scratch across nets. Rungs run
-/// inside `catch_unwind`; a workspace is fully reset at the start of every
-/// run, so reusing one after a panicked net is safe.
-pub fn optimize_net_with(
-    ws: &mut DpWorkspace,
-    name: &str,
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    cfg: &PipelineConfig,
-) -> NetOutcome {
-    optimize_net_cancellable(ws, name, tree, scenario, cfg, CancelToken::new())
-}
-
-/// When `cancel` trips, the in-flight rung unwinds at its next stride
-/// checkpoint and remaining rungs are skipped; the record comes back as
-/// `failed` with `cancelled: <reason>`.
-fn optimize_net_cancellable(
-    ws: &mut DpWorkspace,
-    name: &str,
-    tree: &RoutingTree,
-    scenario: &NoiseScenario,
-    cfg: &PipelineConfig,
-    cancel: CancelToken,
-) -> NetOutcome {
-    // Start the clock and arm the deadline now — the net is being
-    // dequeued and starts running this instant. All rungs share the one
-    // armed deadline (and the one cancel token).
-    let start = Instant::now();
-    let mut budget = cfg.budget();
-    budget.cancel = cancel;
-    let mut out = ladder(ws, name, tree, scenario, cfg, &budget.armed());
-    out.wall = start.elapsed();
-    out
 }
 
 /// Walks the degradation ladder under the armed `budget`.
@@ -693,9 +655,8 @@ fn ladder(
 /// remaining rungs are skipped rather than run to completion.
 fn cancelled_record(budget: &RunBudget, out: &mut NetOutcome) -> Option<NetOutcome> {
     let reason = budget.cancel.cancelled()?;
-    let mut rec = std::mem::replace(out, NetOutcome::shell("", Outcome::Failed));
-    rec.outcome = Outcome::Failed;
-    rec.error = Some(format!("cancelled: {reason}"));
+    let mut rec = NetOutcome::failed(&out.name, &format!("cancelled: {reason}"));
+    rec.attempts = std::mem::take(&mut out.attempts);
     Some(rec)
 }
 
@@ -729,17 +690,15 @@ fn finish(
     out
 }
 
-/// Optimizes one [`NetInput`], whichever variant it is: parsed nets run
-/// [`optimize_net`], parse failures become their `parse_error` record.
-/// This is the `Send`-safe per-net entry point worker pools call — all
-/// the types involved are plain owned data (`Send + Sync`), so inputs
-/// can be fanned out across threads and the records collected back.
-pub fn optimize_input(input: &NetInput, cfg: &PipelineConfig) -> NetOutcome {
-    optimize_input_with(&mut DpWorkspace::new(), input, cfg)
-}
-
-/// [`optimize_input`] with a caller-owned [`DpWorkspace`] (see
-/// [`optimize_net_with`]).
+/// Optimizes one [`NetInput`], whichever variant it is: parsed nets walk
+/// the degradation ladder, parse failures become their `parse_error`
+/// record. This is the `Send`-safe per-net entry point worker pools call
+/// — all the types involved are plain owned data (`Send + Sync`), so
+/// inputs can be fanned out across threads and the records collected
+/// back. The caller owns the [`DpWorkspace`], so batch drivers and server
+/// workers amortize the DP scratch across nets. Rungs run inside
+/// `catch_unwind`; a workspace is fully reset at the start of every run,
+/// so reusing one after a panicked net is safe.
 pub fn optimize_input_with(
     ws: &mut DpWorkspace,
     input: &NetInput,
@@ -752,7 +711,9 @@ pub fn optimize_input_with(
 /// that learns mid-run that nobody wants the answer (deadline expiry,
 /// client disconnect, shutdown) trips the token, the run unwinds at its
 /// next stride checkpoint — microseconds, not the next per-net boundary —
-/// and the record comes back `failed` with `cancelled: <reason>`.
+/// the remaining rungs are skipped, and the record comes back `failed`
+/// with `cancelled: <reason>`. A parsed net never panics out and never
+/// runs past the configured budget (plus one bounded DP step).
 pub fn optimize_input_with_cancel(
     ws: &mut DpWorkspace,
     input: &NetInput,
@@ -764,7 +725,17 @@ pub fn optimize_input_with_cancel(
             name,
             tree,
             scenario,
-        } => optimize_net_cancellable(ws, name, tree, scenario, cfg, cancel.clone()),
+        } => {
+            // Start the clock and arm the deadline now — the net is being
+            // dequeued and starts running this instant. All rungs share
+            // the one armed deadline (and the one cancel token).
+            let start = Instant::now();
+            let mut budget = cfg.budget();
+            budget.cancel = cancel.clone();
+            let mut out = ladder(ws, name, tree, scenario, cfg, &budget.armed());
+            out.wall = start.elapsed();
+            out
+        }
         NetInput::Failed { name, error } => {
             let mut o = NetOutcome::shell(name, Outcome::ParseError);
             o.error = Some(error.clone());
@@ -803,7 +774,7 @@ fn reverify_close(a: f64, b: f64) -> bool {
 /// This is the sampled re-verification hook (`--verify-sample-rate`):
 /// given the *original* input and the record as served — whether freshly
 /// computed or replayed from a cache — it re-segments the tree exactly as
-/// [`optimize_net`] would, re-runs the delay and noise audits against the
+/// the ladder does, re-runs the delay and noise audits against the
 /// record's solution, and reports whether the record's `slack` and
 /// `worst_headroom` survive. A checksum proves bytes didn't rot; this
 /// proves the *semantics* still hold, which also catches corruption that
@@ -1007,10 +978,32 @@ mod tests {
         PipelineConfig::new(catalog::ibm_like())
     }
 
+    /// One parsed net through the pipeline's door.
+    fn run_net(
+        ws: &mut DpWorkspace,
+        name: &str,
+        tree: &RoutingTree,
+        scenario: &NoiseScenario,
+        cfg: &PipelineConfig,
+    ) -> NetOutcome {
+        let input = NetInput::Parsed {
+            name: name.to_string(),
+            tree: tree.clone(),
+            scenario: scenario.clone(),
+        };
+        optimize_input_with(ws, &input, cfg)
+    }
+
     #[test]
     fn healthy_net_is_optimized_on_rung_one() {
         let t = two_pin(12_000.0, 3e-9, 0.8);
-        let o = optimize_net("healthy", &t, &estimation(&t), &cfg());
+        let o = run_net(
+            &mut DpWorkspace::new(),
+            "healthy",
+            &t,
+            &estimation(&t),
+            &cfg(),
+        );
         assert_eq!(o.outcome, Outcome::Optimized);
         assert_eq!(o.rung, Some(Rung::Problem3));
         assert!(o.attempts.is_empty(), "{:?}", o.attempts);
@@ -1040,7 +1033,7 @@ mod tests {
         for limit in [None, Some(Duration::from_secs(60))] {
             let mut c = cfg();
             c.time_limit = limit;
-            let o = optimize_net("tight", &t, &s, &c);
+            let o = run_net(&mut DpWorkspace::new(), "tight", &t, &s, &c);
             assert_eq!(o.outcome, Outcome::Degraded, "{limit:?}");
             assert_eq!(o.rung, Some(Rung::Problem2), "{limit:?}");
             let rungs: Vec<Rung> = o.attempts.iter().map(|a| a.rung).collect();
@@ -1061,7 +1054,13 @@ mod tests {
         // insertion satisfies it (NoiseUnfixable / NoFeasibleCandidate on
         // every rung).
         let t = lumped_pin();
-        let o = optimize_net("doomed", &t, &estimation(&t), &cfg());
+        let o = run_net(
+            &mut DpWorkspace::new(),
+            "doomed",
+            &t,
+            &estimation(&t),
+            &cfg(),
+        );
         assert_eq!(o.outcome, Outcome::Infeasible);
         assert_eq!(o.rung, Some(Rung::Unbuffered));
         assert_eq!(o.buffers, Some(0));
@@ -1078,7 +1077,7 @@ mod tests {
         let mut c = cfg();
         c.max_candidates = Some(1); // even a sink list of 1 survives, but
                                     // any insertion overflows
-        let o = optimize_net("capped", &t, &estimation(&t), &c);
+        let o = run_net(&mut DpWorkspace::new(), "capped", &t, &estimation(&t), &c);
         // DP rungs die on the budget; Algorithm 2 holds ≤1 candidate on a
         // chain, so the net degrades to noise-only instead of failing.
         assert_eq!(o.outcome, Outcome::Degraded);
@@ -1097,7 +1096,13 @@ mod tests {
         let t = two_pin(20_000.0, 2e-9, 0.8);
         let mut c = cfg();
         c.max_tree_nodes = Some(3); // segmented tree is far larger
-        let o = optimize_net("small-cap", &t, &estimation(&t), &c);
+        let o = run_net(
+            &mut DpWorkspace::new(),
+            "small-cap",
+            &t,
+            &estimation(&t),
+            &c,
+        );
         assert!(o.attempts.iter().any(|a| a.error.contains("tree nodes")));
         assert_ne!(o.outcome, Outcome::Failed);
     }
@@ -1108,7 +1113,7 @@ mod tests {
         let mut c = cfg();
         c.time_limit = Some(Duration::ZERO);
         let start = Instant::now();
-        let o = optimize_net("deadline", &t, &estimation(&t), &c);
+        let o = run_net(&mut DpWorkspace::new(), "deadline", &t, &estimation(&t), &c);
         assert!(start.elapsed() < Duration::from_secs(10), "no hang");
         assert!(
             o.attempts.iter().any(|a| a.error.contains("deadline")),
@@ -1163,14 +1168,14 @@ mod tests {
             tree: healthy,
         };
         assert_eq!(parsed.name(), "x");
-        let o = optimize_input(&parsed, &cfg());
+        let o = optimize_input_with(&mut DpWorkspace::new(), &parsed, &cfg());
         assert_eq!(o.outcome, Outcome::Optimized);
         let failed = NetInput::Failed {
             name: "y".into(),
             error: "line 9: nope".into(),
         };
         assert_eq!(failed.name(), "y");
-        let o = optimize_input(&failed, &cfg());
+        let o = optimize_input_with(&mut DpWorkspace::new(), &failed, &cfg());
         assert_eq!(o.outcome, Outcome::ParseError);
         assert_eq!(o.error.as_deref(), Some("line 9: nope"));
     }
@@ -1236,7 +1241,7 @@ mod tests {
         // A cap far below what this net's full search needs, but enough
         // to hold a clamped frontier.
         c.max_arena_bytes = Some(2 * 1024);
-        let o = optimize_net("squeezed", &t, &s, &c);
+        let o = run_net(&mut DpWorkspace::new(), "squeezed", &t, &s, &c);
         assert!(
             o.degraded_by.is_some(),
             "expected resource pressure, got {o:?}"
@@ -1254,7 +1259,7 @@ mod tests {
         assert!(o.to_json().contains("\"degraded_by\":\""));
 
         // Bitwise reproducible for a fixed budget.
-        let o2 = optimize_net("squeezed", &t, &s, &c);
+        let o2 = run_net(&mut DpWorkspace::new(), "squeezed", &t, &s, &c);
         assert_eq!(o.buffers, o2.buffers);
         assert_eq!(o.slack.unwrap().to_bits(), o2.slack.unwrap().to_bits());
         assert_eq!(o.degraded_by, o2.degraded_by);
@@ -1308,7 +1313,7 @@ mod tests {
         let mut c = cfg();
         c.memo = Some(table.clone());
         let mut ws = DpWorkspace::new();
-        let o = optimize_net_with(&mut ws, "y-tight", &t, &estimation(&t), &c);
+        let o = run_net(&mut ws, "y-tight", &t, &estimation(&t), &c);
         assert_eq!(o.rung, Some(Rung::Problem2));
         assert_eq!(ws.work().dp_runs, 1, "one uncapped run");
         let stats = table.stats();
@@ -1323,13 +1328,13 @@ mod tests {
     fn shared_memo_table_preserves_solutions_and_counts_hits() {
         let t = y_net(6_000.0, 4_000.0, 2.5e-9);
         let s = estimation(&t);
-        let cold = optimize_net("y", &t, &s, &cfg());
+        let cold = run_net(&mut DpWorkspace::new(), "y", &t, &s, &cfg());
 
         let table = std::sync::Arc::new(buffopt::MemoTable::new(32 << 20, 4));
         let mut warm_cfg = cfg();
         warm_cfg.memo = Some(table.clone());
-        let first = optimize_net("y", &t, &s, &warm_cfg);
-        let second = optimize_net("y", &t, &s, &warm_cfg);
+        let first = run_net(&mut DpWorkspace::new(), "y", &t, &s, &warm_cfg);
+        let second = run_net(&mut DpWorkspace::new(), "y", &t, &s, &warm_cfg);
         for (tag, o) in [("first", &first), ("second", &second)] {
             assert_eq!(o.outcome, cold.outcome, "{tag}");
             assert_eq!(o.rung, cold.rung, "{tag}");
@@ -1406,7 +1411,7 @@ mod tests {
         let t = two_pin(16_000.0, 2.5e-9, 0.8);
         let s = estimation(&t);
         let c = cfg();
-        let o = optimize_net("parity", &t, &s, &c);
+        let o = run_net(&mut DpWorkspace::new(), "parity", &t, &s, &c);
         // Reproduce rung 1 by hand on the identically segmented tree.
         let seg = segment::segment_wires(&t, 500.0).expect("segment");
         let s_seg = s.for_segmented(&seg);

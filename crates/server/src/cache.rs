@@ -280,7 +280,8 @@ mod tests {
 
     fn record(name: &str) -> NetOutcome {
         // A parse-error shell is the cheapest real record to make.
-        buffopt_pipeline::optimize_input(
+        buffopt_pipeline::optimize_input_with(
+            &mut buffopt::DpWorkspace::new(),
             &NetInput::Failed {
                 name: name.into(),
                 error: "synthetic".into(),

@@ -97,8 +97,8 @@ use std::time::{Duration, Instant};
 use buffopt::{CancelReason, CancelToken};
 use buffopt_pipeline::fault::{FaultAction, FaultPlan, Seam};
 use buffopt_pipeline::{
-    hush_panics, optimize_input, optimize_input_with_cancel, reverify_outcome, BatchReport,
-    NetInput, NetOutcome, Outcome, PanicHush, PipelineConfig, Reverify,
+    hush_panics, optimize_input_with_cancel, reverify_outcome, BatchReport, NetInput, NetOutcome,
+    PanicHush, PipelineConfig, Reverify,
 };
 
 use crate::cache::{digest, SolutionCache, CACHE_SHARDS};
@@ -500,10 +500,12 @@ impl Inner {
             return false;
         }
         let attempts = task.attempt + 1;
-        let name = task.job.input.name().to_string();
         // A synthesized failure is never cached or audited: the next
         // request for this net deserves a fresh computation.
-        let record = failed_record(name, &format!("{failure} ({attempts} attempts)"));
+        let record = NetOutcome::failed(
+            task.job.input.name(),
+            &format!("{failure} ({attempts} attempts)"),
+        );
         self.deliver(task, record, worker, false)
     }
 
@@ -882,7 +884,7 @@ impl Engine {
     pub fn optimize(&self, job: Job) -> Served {
         let name = job.input.name().to_string();
         self.wait(job, false).unwrap_or_else(|r| Served {
-            outcome: failed_record(name, &format!("engine is {}", r.as_str())),
+            outcome: NetOutcome::failed(&name, &format!("engine is {}", r.as_str())),
             cache: CacheStatus::Miss,
             worker: 0,
         })
@@ -906,7 +908,7 @@ impl Engine {
         mut on_done: impl FnMut(usize, &NetOutcome),
     ) -> BatchReport {
         let start = Instant::now();
-        let mut names: Vec<String> = jobs.iter().map(|j| j.input.name().to_string()).collect();
+        let names: Vec<String> = jobs.iter().map(|j| j.input.name().to_string()).collect();
         let mut results: Vec<Option<NetOutcome>> = (0..jobs.len()).map(|_| None).collect();
         let (tx, rx) = mpsc::channel::<(usize, NetOutcome)>();
         std::thread::scope(|s| {
@@ -937,8 +939,8 @@ impl Engine {
             .enumerate()
             .map(|(idx, slot)| {
                 slot.take().unwrap_or_else(|| {
-                    let rec = failed_record(
-                        std::mem::take(&mut names[idx]),
+                    let rec = NetOutcome::failed(
+                        &names[idx],
                         "engine shut down before this net was computed",
                     );
                     on_done(idx, &rec);
@@ -1012,21 +1014,6 @@ fn verifier_loop(
     }
 }
 
-fn failed_record(name: String, why: &str) -> NetOutcome {
-    let mut o = optimize_input(
-        &NetInput::Failed {
-            name,
-            error: String::new(),
-        },
-        // The config is irrelevant for the Failed variant; build the
-        // cheapest possible one.
-        &PipelineConfig::new(buffopt_buffers::BufferLibrary::new()),
-    );
-    o.outcome = Outcome::Failed;
-    o.error = Some(why.to_string());
-    o
-}
-
 fn worker_loop(wid: usize, inner: &Arc<Inner>) {
     // One DP workspace per worker thread, reused across every net this
     // worker serves. A run fully resets the scratch on entry, so reuse
@@ -1090,8 +1077,7 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
             | None => {}
         }
         let mut outcome = if io_error {
-            let name = guard.task().job.input.name().to_string();
-            failed_record(name, "injected worker I/O error")
+            NetOutcome::failed(guard.task().job.input.name(), "injected worker I/O error")
         } else {
             let input = &guard.task().job.input;
             // Optimize-seam faults fire INSIDE the panic boundary: they
@@ -1122,17 +1108,16 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
                 c
             });
             let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&inner.cfg);
-            // `optimize_input` contains per-rung panic boundaries
+            // `optimize_input_with_cancel` contains per-rung panic boundaries
             // already; this outer guard turns even a bookkeeping panic
             // into a record, so the collector never waits on a dead slot.
             panic::catch_unwind(AssertUnwindSafe(|| match fault {
                 Some(FaultAction::Panic) | Some(FaultAction::KillWorker) => {
                     panic!("injected optimizer panic")
                 }
-                Some(FaultAction::IoError) => failed_record(
-                    input.name().to_string(),
-                    "injected I/O error while optimizing",
-                ),
+                Some(FaultAction::IoError) => {
+                    NetOutcome::failed(input.name(), "injected I/O error while optimizing")
+                }
                 Some(FaultAction::StallMs(ms)) => {
                     std::thread::sleep(Duration::from_millis(ms));
                     optimize_input_with_cancel(&mut ws, input, run_cfg, &cancel)
@@ -1154,10 +1139,7 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
                 | None => optimize_input_with_cancel(&mut ws, input, run_cfg, &cancel),
             }))
             .unwrap_or_else(|_| {
-                failed_record(
-                    input.name().to_string(),
-                    "worker panicked outside the net boundary",
-                )
+                NetOutcome::failed(input.name(), "worker panicked outside the net boundary")
             })
         };
         if corrupt_output {

@@ -619,7 +619,8 @@ mod tests {
     fn dp_record() -> NetOutcome {
         let (tree, scenario) =
             buffopt_workload::adversarial::valid_net(&buffopt_workload::WorkloadConfig::default());
-        let rec = buffopt_pipeline::optimize_input(
+        let rec = buffopt_pipeline::optimize_input_with(
+            &mut buffopt::DpWorkspace::new(),
             &NetInput::Parsed {
                 name: "d".into(),
                 tree,
@@ -636,7 +637,8 @@ mod tests {
     }
 
     fn parse_error_record() -> NetOutcome {
-        buffopt_pipeline::optimize_input(
+        buffopt_pipeline::optimize_input_with(
+            &mut buffopt::DpWorkspace::new(),
             &NetInput::Failed {
                 name: "m".into(),
                 error: "bad".into(),

@@ -79,7 +79,7 @@ use std::time::Duration;
 
 use buffopt::{CancelReason, CancelToken, Solution};
 use buffopt_pipeline::fault::{FaultAction, Seam};
-use buffopt_pipeline::{NetInput, NetOutcome};
+use buffopt_pipeline::{push_json_str, NetInput, NetOutcome};
 
 use crate::engine::{Engine, Job, Served};
 
@@ -267,22 +267,6 @@ pub(crate) fn error_json(msg: &str) -> String {
     push_json_str(&mut s, msg);
     s.push('}');
     s
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses one request line: a flat JSON object whose values are strings.

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Build and run the performance snapshots:
 #
-# * BENCH_dp.json — per net size, median wall time for the arena engine
-#   vs the seed engine, candidate-pressure stats, and (with allocation
-#   counting compiled in) allocator traffic per run, the exact DP work
-#   counters (merge rows swept, rows dropped at emission, compactions,
-#   rows any dominance sweep comparison-sorted),
-#   plus the greedy optimizer's incremental-vs-full-resweep "analysis"
-#   section;
+# * BENCH_dp.json — per row (comb sizes, scaling nets, ablation variants,
+#   Problem 3 searches), median and minimum wall time of the shipped DP,
+#   candidate-pressure stats, the exact DP work counters (merge rows
+#   swept, rows dropped at emission, compactions, rows any dominance
+#   sweep comparison-sorted), and (with allocation counting compiled in)
+#   allocator traffic per run, plus the greedy optimizer's "analysis"
+#   timings;
 # * BENCH_memo.json — cold vs memo-warm family passes over the perturbed
 #   net workload: median pass times, steady-state subtree hit rate, and
 #   the memo-table counters. The memo snapshot exits nonzero if the warm
@@ -17,19 +17,21 @@
 # usage: scripts/bench_snapshot.sh [--quick] [--out PATH] [--memo-out PATH]
 #                                  [--no-alloc-count] [--gate]
 #
-#   --quick           5 samples per size instead of 31 (CI smoke)
+#   --quick           5 samples per row instead of 31, and only the
+#                     64-sink scaling net (CI smoke)
 #   --out PATH        where to write the DP JSON (default BENCH_dp.json)
 #   --memo-out PATH   where to write the memo JSON (default BENCH_memo.json)
 #   --no-alloc-count  skip the counting-allocator build; wall times then
 #                     come from the stock allocator (marginally faster)
-#   --gate            fail if the fresh DP snapshot's arena/reference
-#                     median ratios drift more than 2% from the committed
-#                     BENCH_dp.json, or if an exact counter rises above
-#                     the committed row: merge_rows_swept or
-#                     prune_rows_sorted on a size row, dp_runs or
-#                     merge_rows_swept on a search row (the committed
-#                     file is copied aside first, so the fresh snapshot
-#                     still lands in place)
+#   --gate            fail if an exact work counter of the fresh DP
+#                     snapshot rises above the committed BENCH_dp.json's
+#                     row: merge_rows_swept, prune_rows_sorted,
+#                     peak_candidates or merge_enumerated on a size,
+#                     scaling or ablation row; dp_runs or merge_rows_swept
+#                     on a search row. Timing and allocations are
+#                     recorded but not gated. (The committed file is
+#                     copied aside first, so the fresh snapshot still
+#                     lands in place.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
