@@ -1,14 +1,11 @@
 //! Pooled analysis scratch, mirroring the DP workspace pattern.
 
-use crate::incremental::IncrementalSweep;
-
 /// Reusable tables for the kernel sweeps.
 ///
 /// Batch pipelines and server workers analyse thousands of nets; the
 /// sweeps themselves are cheap, so table allocation dominates their cost.
-/// An `AnalysisWorkspace` owns one set of tables plus two incremental
-/// sweeps (one for the load-like metric, one for the current-like
-/// metric); thread it through the `*_with` audit entry points and
+/// An `AnalysisWorkspace` owns the three tables the audits sweep
+/// through; thread it through the `*_with` audit entry points and
 /// steady-state analysis allocates nothing beyond the largest net seen.
 ///
 /// Like the DP workspace, this is plain mutable state — give each worker
@@ -22,12 +19,6 @@ pub struct AnalysisWorkspace {
     pub presented: Vec<f64>,
     /// Preorder accumulation (arrival times or stage noise).
     pub up: Vec<f64>,
-    /// Min-merged requirements (timing or noise slack).
-    pub slack: Vec<f64>,
-    /// Incremental sweep carrying the load-like metric.
-    pub loads: IncrementalSweep,
-    /// Incremental sweep carrying the current-like metric.
-    pub currents: IncrementalSweep,
 }
 
 impl AnalysisWorkspace {

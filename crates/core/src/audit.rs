@@ -333,7 +333,6 @@ pub fn delay_summary_with(
         below,
         presented,
         up,
-        ..
     } = ws;
     delay_tables(tree, lib, assignment, below, presented, up)?;
     let slack = slack_over_sinks(tree, up);

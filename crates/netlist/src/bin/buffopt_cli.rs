@@ -121,9 +121,7 @@ use buffopt_netlist::parse;
 use buffopt_noise::NoiseScenario;
 use buffopt_pipeline::journal::{self, BatchJournal};
 use buffopt_pipeline::{BatchSummary, NetInput, Outcome, PipelineConfig};
-use buffopt_server::{
-    default_jobs, serve_sharded, Engine, EngineOptions, Job, NetDecoder, ServeOptions,
-};
+use buffopt_server::{default_jobs, serve_sharded, Engine, EngineOptions, Job, ServeOptions};
 use buffopt_sim::referee::{self, RefereeOptions};
 use buffopt_tree::{segment, RoutingTree};
 
@@ -609,17 +607,7 @@ fn run_batch_mode(args: &Args, cfg: PipelineConfig, dir: &str) -> ExitCode {
             },
             Ok(text) => Job {
                 cache_key: Some(engine.key_for(&name, &text)),
-                input: match parse(&text) {
-                    Ok(net) => NetInput::Parsed {
-                        name: net.name.clone().unwrap_or(name),
-                        tree: net.tree,
-                        scenario: net.scenario,
-                    },
-                    Err(e) => NetInput::Failed {
-                        name,
-                        error: e.to_string(),
-                    },
-                },
+                input: decode_net(&name, &text),
             },
         };
         match job.cache_key.and_then(|k| checkpointed.get(&k)) {
@@ -705,10 +693,14 @@ fn run_batch_mode(args: &Args, cfg: PipelineConfig, dir: &str) -> ExitCode {
     ExitCode::from(summary.exit_code().clamp(0, 255) as u8)
 }
 
-fn net_decoder() -> NetDecoder {
-    std::sync::Arc::new(|id: &str, body: &str| match parse(body) {
+/// Parses one net's `.net` text into a [`NetInput`]: named by its `net`
+/// directive if it has one, else by `id`; a parse failure becomes a
+/// `Failed` input carrying the parser's message. Batch files and served
+/// requests both decode through here.
+fn decode_net(id: &str, text: &str) -> NetInput {
+    match parse(text) {
         Ok(net) => NetInput::Parsed {
-            name: net.name.clone().unwrap_or_else(|| id.to_string()),
+            name: net.name.unwrap_or_else(|| id.to_string()),
             tree: net.tree,
             scenario: net.scenario,
         },
@@ -716,7 +708,7 @@ fn net_decoder() -> NetDecoder {
             name: id.to_string(),
             error: e.to_string(),
         },
-    })
+    }
 }
 
 fn run_serve_mode(args: &Args) -> ExitCode {
@@ -752,7 +744,12 @@ fn run_serve_mode(args: &Args) -> ExitCode {
         engines[0].jobs(),
         args.cache,
     );
-    match serve_sharded(listener, engines, net_decoder(), args.serve_options()) {
+    match serve_sharded(
+        listener,
+        engines,
+        std::sync::Arc::new(decode_net),
+        args.serve_options(),
+    ) {
         Ok(()) => ExitCode::from(EXIT_OK),
         Err(e) => {
             eprintln!("serve failed: {e}");

@@ -75,17 +75,6 @@ impl NoiseScenario {
         self.factors[v.index()] = factor;
     }
 
-    /// Appends a factor for a freshly created node (used by algorithms that
-    /// split wires while inserting buffers) and returns nothing; the caller
-    /// is responsible for appending in the same order nodes are created.
-    pub fn push_factor(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "coupling factor must be finite and non-negative, got {factor}"
-        );
-        self.factors.push(factor);
-    }
-
     /// Number of per-wire entries (equals the node count of the matching
     /// tree).
     pub fn len(&self) -> usize {

@@ -1,38 +1,40 @@
 //! Deterministic fault injection for the serving stack's chaos tests.
 //!
 //! A [`FaultPlan`] is a list of rules, each naming a *seam* (a point in
-//! the serving stack where faults are physically possible), a trigger
-//! (`nth` arming of that seam, counted by an atomic counter, or every
-//! arming), and an action. The engine, worker loop, and TCP service ask
-//! the plan at each seam whether a fault fires *right now*; with no plan
-//! installed the checks compile down to an `Option` test.
+//! the engine's worker loop), a trigger (`nth` arming of that seam,
+//! counted by an atomic counter, or every arming), and an action. The
+//! worker loop asks the plan at each seam whether a fault fires *right
+//! now*; with no plan installed the check is an `Option` test.
+//!
+//! Only faults that no real interface can produce have a seam: a worker
+//! that dies or misbehaves outside its panic boundary, and a per-net
+//! computation that panics, stalls or lies inside it. Every other fault
+//! is driven through the interface that already produces it: a
+//! panicking `NetDecoder`, torn frames sent by the client,
+//! `Engine::corrupt_cache_entry`, `MemoTable::corrupt_any`, bytes
+//! flipped in the journal file, and `PipelineConfig::max_arena_bytes`
+//! for memory pressure.
 //!
 //! Triggers are counter-based rather than random, so a chaos test that
 //! says "kill the worker handling the first request" is exactly
 //! reproducible: same plan + same request order ⇒ same failure.
 //!
 //! The plan never executes anything itself — it only *reports* which
-//! action fires. The seam owner performs the action (panics, stalls,
-//! corrupts its output, …), because only the owner knows what "dying"
-//! means at that point in the stack.
+//! action fires. The worker loop performs the action (panics, stalls,
+//! corrupts its output, …), because only it knows what "dying" means at
+//! each seam.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A point in the serving stack where a fault can be injected.
+/// A point in the engine's worker loop where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seam {
-    /// The service's request-decode step (before the engine sees work).
-    Decode,
     /// The worker loop, *outside* the per-net panic boundary — faults
     /// here kill the worker thread itself.
     Worker,
     /// Around the optimizer call, *inside* the per-net panic boundary —
     /// faults here must be contained to one record.
     Optimize,
-    /// A state-commit boundary: a journal append, a cache insert, or a
-    /// memo store. Faults here corrupt *state at rest*, which the
-    /// integrity layer must detect on the next read instead of serving.
-    Store,
 }
 
 /// What happens when a rule fires. The seam owner interprets the action.
@@ -51,32 +53,12 @@ pub enum FaultAction {
     /// Fail with a synthetic I/O error message instead of computing.
     IoError,
     /// Make the worker thread exit its loop without replying — a clean
-    /// thread death the supervisor must notice and repair.
+    /// thread death the supervisor must notice and repair. Inside the
+    /// panic boundary it panics like [`FaultAction::Panic`].
     KillWorker,
-    /// Force the run's arena memory budget down to `at_bytes` with
-    /// degrade-in-place on, simulating a host under memory pressure: the
-    /// DP must clamp its frontier and still produce an audit-feasible
-    /// solution.
-    MemPressure {
-        /// The forced [`buffopt::RunBudget::max_arena_bytes`] cap.
-        at_bytes: u64,
-    },
     /// Trip the run's cancel token (supervisor reason) at the seam, as
     /// if an operator or watchdog killed the request mid-flight.
     CancelRun,
-    /// Flip one byte of the journal line being appended (a torn or
-    /// bit-rotted write): the CRC check at resume must quarantine the
-    /// line and recompute the net.
-    CorruptJournalLine,
-    /// Flip one bit of the solution-cache entry just inserted: the
-    /// verify-on-hit check must evict it and report a miss.
-    BitFlipCacheEntry,
-    /// Flip one bit of a stored memo frontier row: the verify-on-hit
-    /// check must evict the entry and fall back to a cold merge.
-    BitFlipMemoEntry,
-    /// Truncate the framed request being decoded: the service must
-    /// answer with a typed `bad_frame` error, never a parse guess.
-    TruncateFrame,
 }
 
 /// One injection rule: fire `action` at `seam` on its `nth` arming
@@ -104,10 +86,8 @@ pub struct FaultRule {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    decode_arms: AtomicU64,
     worker_arms: AtomicU64,
     optimize_arms: AtomicU64,
-    store_arms: AtomicU64,
 }
 
 impl FaultPlan {
@@ -130,10 +110,8 @@ impl FaultPlan {
 
     fn counter(&self, seam: Seam) -> &AtomicU64 {
         match seam {
-            Seam::Decode => &self.decode_arms,
             Seam::Worker => &self.worker_arms,
             Seam::Optimize => &self.optimize_arms,
-            Seam::Store => &self.store_arms,
         }
     }
 
@@ -190,50 +168,27 @@ mod tests {
 
     #[test]
     fn seams_count_independently() {
-        let plan = FaultPlan::new().on_nth(Seam::Decode, 1, FaultAction::IoError);
+        let plan = FaultPlan::new()
+            .on_nth(Seam::Optimize, 2, FaultAction::StallMs(5))
+            .on_nth(Seam::Optimize, 3, FaultAction::CancelRun);
+        assert_eq!(plan.fire(Seam::Worker), None);
         assert_eq!(plan.fire(Seam::Worker), None);
         assert_eq!(plan.fire(Seam::Optimize), None);
         assert_eq!(
-            plan.fire(Seam::Decode),
-            Some(FaultAction::IoError),
-            "other seams' arms do not advance the decode counter"
-        );
-    }
-
-    #[test]
-    fn resource_faults_carry_their_payload() {
-        let plan = FaultPlan::new()
-            .on_nth(
-                Seam::Optimize,
-                1,
-                FaultAction::MemPressure { at_bytes: 4096 },
-            )
-            .on_nth(Seam::Optimize, 2, FaultAction::CancelRun);
-        assert_eq!(
             plan.fire(Seam::Optimize),
-            Some(FaultAction::MemPressure { at_bytes: 4096 })
+            Some(FaultAction::StallMs(5)),
+            "worker arms do not advance the optimize counter"
         );
         assert_eq!(plan.fire(Seam::Optimize), Some(FaultAction::CancelRun));
-        assert_eq!(plan.fire(Seam::Optimize), None);
+        assert_eq!(plan.armed(Seam::Worker), 2);
+        assert_eq!(plan.armed(Seam::Optimize), 3);
     }
 
     #[test]
     fn empty_plan_never_fires() {
         let plan = FaultPlan::new();
-        for seam in [Seam::Decode, Seam::Worker, Seam::Optimize, Seam::Store] {
+        for seam in [Seam::Worker, Seam::Optimize] {
             assert_eq!(plan.fire(seam), None);
         }
-    }
-
-    #[test]
-    fn store_seam_counts_independently() {
-        let plan = FaultPlan::new().on_nth(Seam::Store, 2, FaultAction::CorruptJournalLine);
-        assert_eq!(plan.fire(Seam::Optimize), None);
-        assert_eq!(plan.fire(Seam::Store), None);
-        assert_eq!(
-            plan.fire(Seam::Store),
-            Some(FaultAction::CorruptJournalLine)
-        );
-        assert_eq!(plan.armed(Seam::Store), 2);
     }
 }

@@ -34,11 +34,9 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use buffopt_integrity::{crc64, quarantine_append, quarantine_path};
 
-use crate::fault::{FaultAction, FaultPlan, Seam};
 use crate::Outcome;
 
 /// First line of every v3 journal. Version bumps change this string,
@@ -49,7 +47,6 @@ pub const FORMAT_HEADER: &str = "#buffopt-journal v3";
 /// An append-only, fsync-per-record checkpoint journal.
 pub struct BatchJournal {
     file: File,
-    fault: Option<Arc<FaultPlan>>,
 }
 
 impl BatchJournal {
@@ -59,21 +56,13 @@ impl BatchJournal {
     /// a well-formed journal behind.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut journal = BatchJournal { file, fault: None };
+        let mut journal = BatchJournal { file };
         if journal.file.metadata()?.len() == 0 {
             journal.file.write_all(FORMAT_HEADER.as_bytes())?;
             journal.file.write_all(b"\n")?;
             journal.file.sync_data()?;
         }
         Ok(journal)
-    }
-
-    /// Attaches a fault plan: each append arms [`Seam::Store`], and a
-    /// [`FaultAction::CorruptJournalLine`] flips one byte of the line
-    /// on its way to disk.
-    pub fn with_fault(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault = Some(plan);
-        self
     }
 
     /// Appends one completed record and fsyncs. `record_json` must be the
@@ -83,18 +72,11 @@ impl BatchJournal {
         let body = format!("{key:016x} {record_json}");
         // The CRC covers the key hex as well as the record, so a flipped
         // key bit cannot splice a valid record under the wrong digest.
-        let mut line =
-            format!("{key:016x} {:016x} {record_json}\n", crc64(body.as_bytes())).into_bytes();
-        if let Some(plan) = &self.fault {
-            if let Some(FaultAction::CorruptJournalLine) = plan.fire(Seam::Store) {
-                let mid = line.len() / 2;
-                line[mid] ^= 0x40;
-            }
-        }
+        let line = format!("{key:016x} {:016x} {record_json}\n", crc64(body.as_bytes()));
         // One write call for the whole line: concurrent appenders aren't
         // supported, but a crash can then only truncate the *last* line,
         // which the loader quarantines and recomputes.
-        self.file.write_all(&line)?;
+        self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
     }
 }
@@ -408,28 +390,6 @@ mod tests {
         clean(&p);
         std::fs::write(&p, &FORMAT_HEADER.as_bytes()[..9]).expect("write");
         assert!(load(&p).expect("load").records.is_empty());
-        clean(&p);
-    }
-
-    #[test]
-    fn corrupt_journal_line_fault_flips_a_byte_on_disk() {
-        let p = temp_path("fault");
-        clean(&p);
-        let plan =
-            Arc::new(FaultPlan::new().on_nth(Seam::Store, 2, FaultAction::CorruptJournalLine));
-        {
-            let mut j = BatchJournal::open(&p)
-                .expect("open")
-                .with_fault(plan.clone());
-            j.append(1, "{\"net\":\"a\"}").expect("append");
-            j.append(2, "{\"net\":\"b\"}").expect("append");
-            j.append(3, "{\"net\":\"c\"}").expect("append");
-        }
-        assert_eq!(plan.armed(Seam::Store), 3);
-        let loaded = load(&p).expect("load");
-        assert_eq!(loaded.quarantined, 1, "the corrupted line is detected");
-        assert_eq!(loaded.records.len(), 2);
-        assert!(!loaded.records.contains_key(&2));
         clean(&p);
     }
 

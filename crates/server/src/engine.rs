@@ -76,11 +76,10 @@
 //! merge-row stride granularity. A deadline expiry trips it, so the
 //! stalled run aborts within microseconds and the slot frees instead of
 //! grinding to completion for nobody; the TCP service trips the same
-//! token when it sees the client disconnect mid-request. Injected
-//! resource faults resolve into the run rather than the machinery:
-//! `MemPressure` forces one run under a tiny arena cap with
-//! degrade-in-place on, and `CancelRun` trips the token with the
-//! supervisor reason. A cancelled run's record is never cached. Shutdown
+//! token when it sees the client disconnect mid-request. An injected
+//! `CancelRun` fault resolves into the run rather than the machinery:
+//! it trips the token with the supervisor reason. A cancelled run's
+//! record is never cached. Shutdown
 //! deliberately does NOT cancel in-flight work — the drain contract
 //! ("every admitted request gets its response") stays intact.
 //!
@@ -419,28 +418,6 @@ impl Inner {
         self.supervise();
     }
 
-    /// Arms the [`Seam::Store`] fault seam right after a cache insert and
-    /// applies any state-corruption fault to the state just committed —
-    /// modelling bit rot between the write and the next read, which the
-    /// verify-on-hit checks must turn into a detected eviction instead of
-    /// a served lie.
-    fn fire_store_fault(&self, key: u64) {
-        let Some(plan) = self.plan.as_deref() else {
-            return;
-        };
-        match plan.fire(Seam::Store) {
-            Some(FaultAction::BitFlipCacheEntry) => {
-                self.cache.corrupt(key, false);
-            }
-            Some(FaultAction::BitFlipMemoEntry) => {
-                if let Some(memo) = self.cfg.memo.as_ref() {
-                    memo.corrupt_any();
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Hands this response to the audit thread if it wins the
     /// deterministic sample: response `n` is sampled iff `⌊n·rate⌋`
     /// advances, which spaces samples evenly at any rate and samples
@@ -522,7 +499,6 @@ impl Inner {
             // A cancelled run answers nobody's future request.
             if let (Some(key), false) = (task.job.cache_key, task.ticket.cancel.is_cancelled()) {
                 self.cache.insert(key, outcome.clone(), worker);
-                self.fire_store_fault(key);
             }
             self.maybe_verify(task.job.cache_key, &task.job.input, &outcome);
         }
@@ -685,10 +661,6 @@ impl Engine {
 
     pub(crate) fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.inner.plan.as_deref()
     }
 
     /// The cache key for a net identified by `name` with raw content
@@ -1014,6 +986,14 @@ fn verifier_loop(
     }
 }
 
+/// Trips `cancel` with the supervisor reason, as an injected
+/// [`FaultAction::CancelRun`] does, counting the cancellation once.
+fn cancel_run(inner: &Inner, cancel: &CancelToken) {
+    if cancel.cancel(CancelReason::Supervisor) {
+        inner.metrics.record_cancelled(CancelReason::Supervisor);
+    }
+}
+
 fn worker_loop(wid: usize, inner: &Arc<Inner>) {
     // One DP workspace per worker thread, reused across every net this
     // worker serves. A run fully resets the scratch on entry, so reuse
@@ -1046,12 +1026,9 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
         };
         // Worker-seam faults fire OUTSIDE the panic boundary: they model
         // defects in the worker machinery itself, which is exactly what
-        // the supervisor exists to repair. Resource faults are the
-        // exception — they resolve into this run's budget or token
-        // rather than into worker death.
+        // the supervisor exists to repair.
         let mut corrupt_output = false;
         let mut io_error = false;
-        let mut forced_cap: Option<usize> = None;
         match inner.plan.as_deref().and_then(|p| p.fire(Seam::Worker)) {
             Some(FaultAction::Panic) => panic!("injected worker panic"),
             // Exiting with the task in hand: the guard's drop reports
@@ -1060,54 +1037,18 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
             Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(FaultAction::WrongOutput) => corrupt_output = true,
             Some(FaultAction::IoError) => io_error = true,
-            Some(FaultAction::MemPressure { at_bytes }) => forced_cap = Some(at_bytes as usize),
-            Some(FaultAction::CancelRun) => {
-                let won = cancel.cancel(CancelReason::Supervisor);
-                if won {
-                    inner.metrics.record_cancelled(CancelReason::Supervisor);
-                }
-            }
-            // State-corruption faults belong to the Store and Decode
-            // seams; armed here they are plan misconfigurations and do
-            // nothing.
-            Some(FaultAction::CorruptJournalLine)
-            | Some(FaultAction::BitFlipCacheEntry)
-            | Some(FaultAction::BitFlipMemoEntry)
-            | Some(FaultAction::TruncateFrame)
-            | None => {}
+            Some(FaultAction::CancelRun) => cancel_run(inner, &cancel),
+            None => {}
         }
         let mut outcome = if io_error {
             NetOutcome::failed(guard.task().job.input.name(), "injected worker I/O error")
         } else {
             let input = &guard.task().job.input;
+            let cfg: &PipelineConfig = &inner.cfg;
             // Optimize-seam faults fire INSIDE the panic boundary: they
             // model defects in per-net computation, which must stay
             // contained to one record.
-            let mut fault = inner.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
-            // Resolve resource faults at this seam the same way: into
-            // the run's budget/token, then optimize normally under them.
-            match fault {
-                Some(FaultAction::MemPressure { at_bytes }) => {
-                    forced_cap = Some(at_bytes as usize);
-                    fault = None;
-                }
-                Some(FaultAction::CancelRun) => {
-                    if cancel.cancel(CancelReason::Supervisor) {
-                        inner.metrics.record_cancelled(CancelReason::Supervisor);
-                    }
-                    fault = None;
-                }
-                _ => {}
-            }
-            // An injected memory-pressure fault forces this one run under
-            // a tiny arena cap (degrade-in-place turns on with it); the
-            // shared config is untouched.
-            let cfg_override = forced_cap.map(|cap| {
-                let mut c = (*inner.cfg).clone();
-                c.max_arena_bytes = Some(cap);
-                c
-            });
-            let run_cfg: &PipelineConfig = cfg_override.as_ref().unwrap_or(&inner.cfg);
+            let fault = inner.plan.as_deref().and_then(|p| p.fire(Seam::Optimize));
             // `optimize_input_with_cancel` contains per-rung panic boundaries
             // already; this outer guard turns even a bookkeeping panic
             // into a record, so the collector never waits on a dead slot.
@@ -1120,23 +1061,18 @@ fn worker_loop(wid: usize, inner: &Arc<Inner>) {
                 }
                 Some(FaultAction::StallMs(ms)) => {
                     std::thread::sleep(Duration::from_millis(ms));
-                    optimize_input_with_cancel(&mut ws, input, run_cfg, &cancel)
+                    optimize_input_with_cancel(&mut ws, input, cfg, &cancel)
                 }
                 Some(FaultAction::WrongOutput) => {
-                    let mut r = optimize_input_with_cancel(&mut ws, input, run_cfg, &cancel);
+                    let mut r = optimize_input_with_cancel(&mut ws, input, cfg, &cancel);
                     r.name = format!("__fault__{}", r.name);
                     r
                 }
-                // Resource faults were folded into `run_cfg`/`cancel`
-                // above; state-corruption faults belong to other seams.
-                // Both take the normal path.
-                Some(FaultAction::MemPressure { .. })
-                | Some(FaultAction::CancelRun)
-                | Some(FaultAction::CorruptJournalLine)
-                | Some(FaultAction::BitFlipCacheEntry)
-                | Some(FaultAction::BitFlipMemoEntry)
-                | Some(FaultAction::TruncateFrame)
-                | None => optimize_input_with_cancel(&mut ws, input, run_cfg, &cancel),
+                Some(FaultAction::CancelRun) => {
+                    cancel_run(inner, &cancel);
+                    optimize_input_with_cancel(&mut ws, input, cfg, &cancel)
+                }
+                None => optimize_input_with_cancel(&mut ws, input, cfg, &cancel),
             }))
             .unwrap_or_else(|_| {
                 NetOutcome::failed(input.name(), "worker panicked outside the net boundary")

@@ -36,8 +36,8 @@
 //! * **Requests are served inline on the shard.** The shard classifies a
 //!   complete line and answers protocol errors, `stats` and `shutdown`
 //!   itself. An optimize request is routed, decoded (decoding stays
-//!   ahead of the cache probe, so hits keep the decode fault seam and
-//!   verify-on-hit keeps its parsed input) and submitted to the engine:
+//!   ahead of the cache probe so that verify-on-hit has a parsed input
+//!   to audit a hit against) and submitted to the engine:
 //!   a cache hit or an admission refusal is answered on the spot; an
 //!   admitted miss waits in the engine's bounded queue, and the worker's
 //!   completion formats the record and posts it to this shard's inbox.
@@ -94,14 +94,12 @@ use buffopt_integrity::{decode_frame, encode_frame, is_framed};
 use buffopt_netpoll::{
     accept_nonblocking, Event, FillOutcome, Interest, Poller, RecvBuf, SendBuf, TakeLine, Waker,
 };
-use buffopt_pipeline::fault::{FaultAction, Seam};
 
 use crate::cache::digest;
-use crate::engine::{Completion, Engine, Submitted, Ticket};
+use crate::engine::{Completion, Engine, Job, Submitted, Ticket};
 use crate::metrics::ShardStat;
 use crate::service::{
-    bad_frame_json, classify_request, decode_job, error_json, served_json, Command, NetDecoder,
-    ServeOptions,
+    bad_frame_json, classify_request, error_json, served_json, Command, NetDecoder, ServeOptions,
 };
 
 /// Token of each shard's inbox waker (never collides with connection
@@ -444,10 +442,9 @@ fn respond(shared: &Shared, shard: usize, token: u64, seq: u64, line: &str) -> A
         Ok(Command::Optimize { id, net }) => {
             let e = route(&shared.engines, &id, &net);
             let engine = &shared.engines[e];
-            let cancel = CancelToken::new();
-            let job = match decode_job(engine, &shared.decode, &id, &net, &cancel) {
-                Ok(job) => job,
-                Err(response) => return Action::Reply(response),
+            let job = Job {
+                input: (shared.decode)(&id, &net),
+                cache_key: Some(engine.key_for(&id, &net)),
             };
             let post = Arc::clone(&shared.shard_posts[shard]);
             let done: Completion = Box::new(move |served| {
@@ -457,7 +454,7 @@ fn respond(shared: &Shared, shard: usize, token: u64, seq: u64, line: &str) -> A
                     response: served_json(&served),
                 })
             });
-            match engine.submit(job, true, cancel, done) {
+            match engine.submit(job, true, CancelToken::new(), done) {
                 Ok(Submitted::Hit(served)) => Action::Reply(served_json(&served)),
                 Ok(Submitted::Queued { deadline, ticket }) => Action::Pending {
                     engine: e,
@@ -820,23 +817,7 @@ impl Shard {
                     conn.deadline = None;
                     let framed = is_framed(&bytes);
                     let line: String = if framed {
-                        // Frame validation is a decode step of its own,
-                        // with its own arming of the decode fault seam:
-                        // a `TruncateFrame` fault chops the frame
-                        // mid-payload, exactly like a sender that died
-                        // mid-write.
-                        let torn: Vec<u8>;
-                        let frame: &[u8] = match shared.engines[0]
-                            .fault_plan()
-                            .and_then(|p| p.fire(Seam::Decode))
-                        {
-                            Some(FaultAction::TruncateFrame) => {
-                                torn = bytes[..bytes.len() / 2].to_vec();
-                                &torn
-                            }
-                            _ => &bytes,
-                        };
-                        match decode_frame(frame) {
+                        match decode_frame(&bytes) {
                             Err(e) => {
                                 shared.engines[0].metrics().record_bad_frame();
                                 queue_response(conn, &bad_frame_json(&e.to_string()), true);
@@ -861,9 +842,9 @@ impl Shard {
                     if line.is_empty() {
                         continue;
                     }
-                    // A panic while serving — injected at the decode
-                    // seam or real — costs one error response, not the
-                    // connection or the server.
+                    // A panic while serving — in the injected decoder or
+                    // anywhere else on this path — costs one error
+                    // response, not the connection or the server.
                     let (shard, token, seq) = (self.id, conn.token, conn.seq + 1);
                     let action = panic::catch_unwind(AssertUnwindSafe(|| {
                         respond(&shared, shard, token, seq, &line)

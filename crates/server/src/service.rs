@@ -61,27 +61,27 @@
 //! client cannot pin a shard); and with `max_conns` set, accepts beyond
 //! the ceiling get one typed `{"error":"overloaded"}` refusal line and
 //! are counted in `connections.rejected_max_conns`. A panic while
-//! serving a request — injected via the [`Seam::Decode`] fault hook or
-//! real — is contained to one `{"error":...}` response; the connection
-//! and the server survive.
+//! serving a request — in the injected [`NetDecoder`] or anywhere else
+//! on the shard — is contained to one `{"error":...}` response; the
+//! connection and the server survive.
 //!
 //! The service does not link the text-format parser (that would make the
 //! crate graph cyclic); callers inject a [`NetDecoder`] closure, which
 //! the CLI builds from `buffopt_netlist::parse`.
 //!
+//! [`CancelToken`]: buffopt::CancelToken
+//! [`Engine`]: crate::Engine
 //! [`MetricsSnapshot`]: crate::metrics::MetricsSnapshot
 //! [`Rejection`]: crate::Rejection
-//! [`Seam::Decode`]: buffopt_pipeline::fault::Seam
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use buffopt::{CancelReason, CancelToken, Solution};
-use buffopt_pipeline::fault::{FaultAction, Seam};
+use buffopt::Solution;
 use buffopt_pipeline::{push_json_str, NetInput, NetOutcome};
 
-use crate::engine::{Engine, Job, Served};
+use crate::engine::Served;
 
 /// Turns a request's `(id, net text)` into a [`NetInput`] — parsed, or a
 /// `Failed` record carrying the parser's message.
@@ -166,54 +166,6 @@ pub(crate) fn classify_request(line: &str) -> Result<Command, String> {
         "shutdown" => Ok(Command::Shutdown),
         other => Err(error_json(&format!("unknown cmd {other:?}"))),
     }
-}
-
-/// Decodes one optimize request into a [`Job`] keyed for `engine`'s
-/// cache, firing the decode fault seam on the way. `Err` carries the
-/// response line for a request that ends here.
-pub(crate) fn decode_job(
-    engine: &Engine,
-    decode: &NetDecoder,
-    id: &str,
-    net_text: &str,
-    cancel: &CancelToken,
-) -> Result<Job, String> {
-    let mut input = decode(id, net_text);
-    // Decode-seam fault hook: models a defective decoder.
-    match engine.fault_plan().and_then(|p| p.fire(Seam::Decode)) {
-        None => {}
-        Some(FaultAction::Panic) | Some(FaultAction::KillWorker) => {
-            panic!("injected decode panic")
-        }
-        Some(FaultAction::StallMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::IoError) => return Err(error_json("injected decode I/O error")),
-        Some(FaultAction::WrongOutput) => {
-            input = NetInput::Failed {
-                name: id.to_string(),
-                error: "injected decode corruption".to_string(),
-            }
-        }
-        // Models a watchdog killing the request before it reaches a
-        // worker: the run aborts at its first checkpoint.
-        Some(FaultAction::CancelRun) => {
-            let won = cancel.cancel(CancelReason::Supervisor);
-            if won {
-                engine.metrics().record_cancelled(CancelReason::Supervisor);
-            }
-        }
-        // Memory pressure is a worker-seam behavior; nothing to squeeze
-        // at decode time. State-corruption faults belong to the Store
-        // seam or the framed read path.
-        Some(FaultAction::MemPressure { .. })
-        | Some(FaultAction::CorruptJournalLine)
-        | Some(FaultAction::BitFlipCacheEntry)
-        | Some(FaultAction::BitFlipMemoEntry)
-        | Some(FaultAction::TruncateFrame) => {}
-    }
-    Ok(Job {
-        input,
-        cache_key: Some(engine.key_for(id, net_text)),
-    })
 }
 
 /// The response line for a served request: the answer record, then its
