@@ -7,13 +7,19 @@
 //! cross product, and pruning runs after the fact. It is compiled only for
 //! tests, so every other build carries exactly one engine.
 //!
-//! The single deliberate difference from the seed: the pairwise
-//! (conservative / cost-aware) prune uses `Vec::remove` instead of
-//! `Vec::swap_remove`, so survivors come out in generation order. The
-//! surviving *set* is identical — `swap_remove` only scrambled the order —
-//! and generation order is what the arena engine's index-based prune
-//! emits, which lets the differential tests compare candidate lists
-//! positionally instead of as multisets.
+//! Two deliberate differences from the seed:
+//!
+//! * the pairwise (conservative / cost-aware) prune uses `Vec::remove`
+//!   instead of `Vec::swap_remove`, so survivors come out in generation
+//!   order. The surviving *set* is identical — `swap_remove` only
+//!   scrambled the order — and generation order is what the arena
+//!   engine's index-based prune emits, which lets the differential tests
+//!   compare candidate lists positionally instead of as multisets;
+//! * an inverting buffer flips a candidate's parity only when polarity is
+//!   tracked, as in the arena engine. With polarity off every candidate
+//!   keeps parity `false`, so each buffer count has one `(C, q)` frontier
+//!   (the paper's Algorithm 3 with Lillis's count-indexed lists), where
+//!   the seed kept one per count and parity.
 //!
 //! [`run`] speaks the arena engine's own types ([`dp::DpConfig`],
 //! [`dp::SourceCand`], [`dp::DpStats`]), so a test drives both engines
@@ -60,7 +66,7 @@ pub(crate) fn run(
 }
 
 // ---------------------------------------------------------------------------
-// The seed engine, verbatim (modulo the pairwise-prune order fix above).
+// The seed engine, verbatim (modulo the two differences above).
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -261,7 +267,7 @@ fn insert_buffers(v: NodeId, cands: &mut Vec<DpCand>, lib: &BufferLibrary, cfg: 
             }
             let q_new = c.q - buf.delay(c.cap);
             if cfg.cost_aware {
-                fresh.push(buffered_candidate(v, c, bid, buf, q_new));
+                fresh.push(buffered_candidate(v, c, bid, buf, cfg, q_new));
                 continue;
             }
             let class = 2 * c.count + usize::from(c.parity);
@@ -276,7 +282,7 @@ fn insert_buffers(v: NodeId, cands: &mut Vec<DpCand>, lib: &BufferLibrary, cfg: 
         for slot in best.into_iter().flatten() {
             let (q_new, idx) = slot;
             let c = &cands[idx];
-            fresh.push(buffered_candidate(v, c, bid, buf, q_new));
+            fresh.push(buffered_candidate(v, c, bid, buf, cfg, q_new));
         }
     }
     cands.extend(fresh);
@@ -287,6 +293,7 @@ fn buffered_candidate(
     c: &DpCand,
     bid: BufferId,
     buf: &buffopt_buffers::BufferType,
+    cfg: &dp::DpConfig,
     q_new: f64,
 ) -> DpCand {
     DpCand {
@@ -296,7 +303,7 @@ fn buffered_candidate(
         ns: buf.noise_margin,
         count: c.count + 1,
         cost: c.cost + buf.cost,
-        parity: c.parity ^ buf.inverting,
+        parity: c.parity ^ (cfg.polarity && buf.inverting),
         set: c.set.insert((v, bid)),
     }
 }
