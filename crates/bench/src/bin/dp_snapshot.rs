@@ -34,9 +34,9 @@
 //! `--gate BASELINE` compares the fresh snapshot against a committed
 //! baseline (typically the repo's `BENCH_dp.json`) row by row, keyed by
 //! section and row name, and exits nonzero if an exact work counter rose:
-//! `merge_rows_swept`, `prune_rows_sorted`, `peak_candidates` and
-//! `merge_enumerated` on the size, scaling and ablation rows; `dp_runs`
-//! and `merge_rows_swept` on the search rows. The counters count rows,
+//! `merge_rows_swept`, `merge_stair_shifts`, `bids`, `prune_rows_sorted`,
+//! `peak_candidates` and `merge_enumerated` on the size, scaling and
+//! ablation rows; `dp_runs` and `merge_rows_swept` on the search rows. The counters count rows,
 //! not time, so they are host-independent and the gate is exact and
 //! one-sided: any rise fails, with no tolerance, and a fall passes. A
 //! baseline row without a counter is not gated on it; a fresh row that
@@ -228,7 +228,8 @@ fn json_dp_row(key: &str, tree: &RoutingTree, r: &DpRow) -> String {
     format!(
         "{{{key},\"nodes\":{},\"arena\":{},\"peak_candidates\":{},\"peak_merge_product\":{},\
          \"merge_enumerated\":{},\"merge_pruned\":{},\"merge_rows_swept\":{},\
-         \"merge_rows_dropped\":{},\"merge_compactions\":{},\"prune_rows_sorted\":{}}}",
+         \"merge_rows_dropped\":{},\"merge_stair_shifts\":{},\"bids\":{},\
+         \"prune_rows_sorted\":{}}}",
         tree.len(),
         json_engine(&r.time),
         s.peak_candidates,
@@ -237,7 +238,8 @@ fn json_dp_row(key: &str, tree: &RoutingTree, r: &DpRow) -> String {
         s.merge_products_pruned,
         w.merge_rows_swept,
         w.merge_rows_dropped,
-        w.merge_compactions,
+        w.merge_stair_shifts,
+        w.bids,
         w.prune_rows_sorted
     )
 }
@@ -307,8 +309,10 @@ const GATED: [(&str, &[&str]); 4] = [
 ];
 
 /// The counters a DP row (size, scaling or ablation) is gated on.
-const DP_COUNTERS: [&str; 4] = [
+const DP_COUNTERS: [&str; 6] = [
     "merge_rows_swept",
+    "merge_stair_shifts",
+    "bids",
     "prune_rows_sorted",
     "peak_candidates",
     "merge_enumerated",
@@ -707,6 +711,8 @@ mod tests {
     fn the_gate_is_exact_one_sided_and_blind_to_timing() {
         let dp = [
             "merge_rows_swept",
+            "merge_stair_shifts",
+            "bids",
             "prune_rows_sorted",
             "peak_candidates",
             "merge_enumerated",

@@ -40,16 +40,22 @@ pub struct DpWorkspace {
 /// solution, record or stats response carries them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpWork {
-    /// Rows fed to the fused merge's dominance sweeps: every mid-merge
-    /// compaction plus the final prune of each merge.
+    /// Rows fed to the fused merge's final lower-count pass: the rows its
+    /// live per-class staircases hold at the end of each merge.
     pub merge_rows_swept: u64,
-    /// Merge rows dropped at emission because a survivor of an earlier
-    /// compaction in their own class already dominated them.
+    /// Merge rows dropped at emission because a row already on their own
+    /// class's live staircase dominated them in `(C, q)`.
     pub merge_rows_dropped: u64,
-    /// Mid-merge compactions run by the fused merge.
-    pub merge_compactions: u64,
+    /// Staircase rows moved by the fused merge's inserts and removals:
+    /// a row inserted in front of others moves each of them one place, and
+    /// a row that evicts a run of more than one moves every row behind the
+    /// run. A quadratic insertion pattern shows as a rise here.
+    pub merge_stair_shifts: u64,
+    /// Buffer bids evaluated: one per buffer type for each candidate or
+    /// merge row offered to the best-buffer table under the buffer cap.
+    pub bids: u64,
     /// Rows every dominance sweep (the node prunes and the fused merge's
-    /// compactions) handed to a comparison sort: each presorted prefix or
+    /// final pass) handed to a comparison sort: each presorted prefix or
     /// tail that was too far out of sweep order for the linear insertion
     /// fix-up (a climb tie swaps only neighbours, which the fix-up
     /// mends).
@@ -66,7 +72,8 @@ impl DpWork {
     pub(crate) fn absorb(&mut self, other: &DpWork) {
         self.merge_rows_swept += other.merge_rows_swept;
         self.merge_rows_dropped += other.merge_rows_dropped;
-        self.merge_compactions += other.merge_compactions;
+        self.merge_stair_shifts += other.merge_stair_shifts;
+        self.bids += other.bids;
         self.prune_rows_sorted += other.prune_rows_sorted;
         self.dp_runs += other.dp_runs;
     }
