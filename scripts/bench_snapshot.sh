@@ -4,7 +4,8 @@
 # * BENCH_dp.json — per row (comb sizes, scaling nets, ablation variants,
 #   Problem 3 searches), median and minimum wall time of the shipped DP,
 #   candidate-pressure stats, the exact DP work counters (merge rows
-#   swept, rows dropped at emission, compactions, rows any dominance
+#   swept by the final pass, rows dropped against the live staircases,
+#   staircase rows shifted, buffer bids evaluated, rows any dominance
 #   sweep comparison-sorted), and (with allocation counting compiled in)
 #   allocator traffic per run, plus the greedy optimizer's "analysis"
 #   timings;
@@ -25,10 +26,11 @@
 #                     come from the stock allocator (marginally faster)
 #   --gate            fail if an exact work counter of the fresh DP
 #                     snapshot rises above the committed BENCH_dp.json's
-#                     row: merge_rows_swept, prune_rows_sorted,
-#                     peak_candidates or merge_enumerated on a size,
-#                     scaling or ablation row; dp_runs or merge_rows_swept
-#                     on a search row. Timing and allocations are
+#                     row: merge_rows_swept, merge_stair_shifts, bids,
+#                     prune_rows_sorted, peak_candidates or
+#                     merge_enumerated on a size, scaling or ablation
+#                     row; dp_runs or merge_rows_swept on a search
+#                     row. Timing and allocations are
 #                     recorded but not gated. (The committed file is
 #                     copied aside first, so the fresh snapshot still
 #                     lands in place.)
