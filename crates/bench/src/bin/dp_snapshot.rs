@@ -34,7 +34,7 @@
 //! `--gate BASELINE` compares the fresh snapshot against a committed
 //! baseline (typically the repo's `BENCH_dp.json`) row by row, keyed by
 //! section and row name, and exits nonzero if an exact work counter rose:
-//! `merge_rows_swept`, `merge_stair_shifts`, `bids`, `prune_rows_sorted`,
+//! `merge_rows_swept`, `merge_stair_shifts`, `bids`, `prune_row_shifts`,
 //! `peak_candidates` and `merge_enumerated` on the size, scaling and
 //! ablation rows; `dp_runs` and `merge_rows_swept` on the search rows. The counters count rows,
 //! not time, so they are host-independent and the gate is exact and
@@ -229,7 +229,7 @@ fn json_dp_row(key: &str, tree: &RoutingTree, r: &DpRow) -> String {
         "{{{key},\"nodes\":{},\"arena\":{},\"peak_candidates\":{},\"peak_merge_product\":{},\
          \"merge_enumerated\":{},\"merge_pruned\":{},\"merge_rows_swept\":{},\
          \"merge_rows_dropped\":{},\"merge_stair_shifts\":{},\"bids\":{},\
-         \"prune_rows_sorted\":{}}}",
+         \"prune_row_shifts\":{}}}",
         tree.len(),
         json_engine(&r.time),
         s.peak_candidates,
@@ -240,7 +240,7 @@ fn json_dp_row(key: &str, tree: &RoutingTree, r: &DpRow) -> String {
         w.merge_rows_dropped,
         w.merge_stair_shifts,
         w.bids,
-        w.prune_rows_sorted
+        w.prune_row_shifts
     )
 }
 
@@ -313,7 +313,7 @@ const DP_COUNTERS: [&str; 6] = [
     "merge_rows_swept",
     "merge_stair_shifts",
     "bids",
-    "prune_rows_sorted",
+    "prune_row_shifts",
     "peak_candidates",
     "merge_enumerated",
 ];
@@ -713,7 +713,7 @@ mod tests {
             "merge_rows_swept",
             "merge_stair_shifts",
             "bids",
-            "prune_rows_sorted",
+            "prune_row_shifts",
             "peak_candidates",
             "merge_enumerated",
         ];

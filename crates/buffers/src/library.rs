@@ -84,15 +84,6 @@ impl BufferLibrary {
             .map(|(id, _)| id)
     }
 
-    /// The smallest noise margin across the library (used by conservative
-    /// feasibility pre-checks).
-    pub fn min_noise_margin(&self) -> Option<f64> {
-        self.buffers
-            .iter()
-            .map(|b| b.noise_margin)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite margins"))
-    }
-
     /// Restricts the library to the single smallest-resistance buffer —
     /// the reduction Theorems 3 and 4 justify for Problems 1.
     pub fn to_noise_avoidance_library(&self) -> BufferLibrary {
@@ -166,11 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn min_noise_margin_value() {
-        assert!((lib3().min_noise_margin().expect("non-empty") - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn noise_avoidance_reduction_is_single() {
         let reduced = lib3().to_noise_avoidance_library();
         assert_eq!(reduced.len(), 1);
@@ -182,7 +168,6 @@ mod tests {
         let lib = BufferLibrary::new();
         assert!(lib.is_empty());
         assert!(lib.min_resistance().is_none());
-        assert!(lib.min_noise_margin().is_none());
         assert_eq!(lib.to_noise_avoidance_library().len(), 0);
     }
 

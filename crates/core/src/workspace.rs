@@ -54,12 +54,13 @@ pub struct DpWork {
     /// Buffer bids evaluated: one per buffer type for each candidate or
     /// merge row offered to the best-buffer table under the buffer cap.
     pub bids: u64,
-    /// Rows every dominance sweep (the node prunes and the fused merge's
-    /// final pass) handed to a comparison sort: each presorted prefix or
-    /// tail that was too far out of sweep order for the linear insertion
-    /// fix-up (a climb tie swaps only neighbours, which the fix-up
-    /// mends).
-    pub prune_rows_sorted: u64,
+    /// Places the node prunes' stable insertion passes moved rows to put
+    /// each presorted run (a climbed or merged list, a tail of buffered
+    /// spawns) in sweep order. Only equal-cap ties are out of order in
+    /// those runs: a tie a wire climb's rounding made, or spawns of
+    /// buffers with equal input capacitance. A producer that hands over
+    /// a disordered run shows as a rise here.
+    pub prune_row_shifts: u64,
     /// DP runs these counters cover: 1 after one run
     /// ([`crate::buffopt::solve`], [`crate::buffopt::min_cost`]), and
     /// after [`crate::buffopt::min_buffers_with`] every run of its search,
@@ -74,7 +75,7 @@ impl DpWork {
         self.merge_rows_dropped += other.merge_rows_dropped;
         self.merge_stair_shifts += other.merge_stair_shifts;
         self.bids += other.bids;
-        self.prune_rows_sorted += other.prune_rows_sorted;
+        self.prune_row_shifts += other.prune_row_shifts;
         self.dp_runs += other.dp_runs;
     }
 }

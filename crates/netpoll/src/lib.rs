@@ -35,8 +35,8 @@ use std::time::Duration;
 
 /// Which readiness a registration asks for. Full hang-up and error
 /// events are always delivered regardless of the mask (epoll
-/// semantics); peer write-half closes (`EPOLLRDHUP`) are opt-out via
-/// [`Interest::without_rdhup`] — a level-triggered poller would
+/// semantics); peer write-half closes (`EPOLLRDHUP`) are opt-out by
+/// clearing [`Interest::rdhup`] — a level-triggered poller would
 /// otherwise re-report a half-closed peer forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
@@ -68,15 +68,6 @@ impl Interest {
         writable: true,
         rdhup: true,
     };
-
-    /// This interest with half-close reporting masked off (for a
-    /// connection whose hang-up was already observed and handled).
-    pub fn without_rdhup(self) -> Interest {
-        Interest {
-            rdhup: false,
-            ..self
-        }
-    }
 
     fn mask(self) -> u32 {
         let mut m = 0;

@@ -113,15 +113,6 @@ impl NoiseScenario {
         }
     }
 
-    /// Injected current per micron (A/µm) of the parent wire of `v`, used
-    /// by the Theorem 1 length bound. Zero for zero-length wires.
-    pub fn current_per_micron(&self, tree: &RoutingTree, v: NodeId) -> f64 {
-        match tree.parent_wire(v) {
-            Some(w) if w.length > 0.0 => self.factors[v.index()] * w.capacitance / w.length,
-            _ => 0.0,
-        }
-    }
-
     /// Transfers the scenario onto a segmented version of its tree: every
     /// piece of a split wire inherits the original wire's factor.
     ///
@@ -204,16 +195,6 @@ mod tests {
             )],
         );
         assert!((s.factor(sink) - (0.3 * 2.0e9 + 0.4 * 5.0e9)).abs() < 1.0);
-    }
-
-    #[test]
-    fn current_per_micron_times_length_is_wire_current() {
-        let t = two_pin(1234.0);
-        let s = NoiseScenario::estimation(&t, 0.7, 7.2e9);
-        let sink = t.sinks()[0];
-        let i_per = s.current_per_micron(&t, sink);
-        let total = s.wire_current(&t, sink);
-        assert!((i_per * 1234.0 - total).abs() < 1e-18);
     }
 
     #[test]

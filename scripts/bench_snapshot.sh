@@ -5,8 +5,8 @@
 #   Problem 3 searches), median and minimum wall time of the shipped DP,
 #   candidate-pressure stats, the exact DP work counters (merge rows
 #   swept by the final pass, rows dropped against the live staircases,
-#   staircase rows shifted, buffer bids evaluated, rows any dominance
-#   sweep comparison-sorted), and (with allocation counting compiled in)
+#   staircase rows shifted, buffer bids evaluated, places the node
+#   prunes' insertion passes moved rows), and (with allocation counting compiled in)
 #   allocator traffic per run, plus the greedy optimizer's "analysis"
 #   timings;
 # * BENCH_memo.json — cold vs memo-warm family passes over the perturbed
@@ -27,7 +27,7 @@
 #   --gate            fail if an exact work counter of the fresh DP
 #                     snapshot rises above the committed BENCH_dp.json's
 #                     row: merge_rows_swept, merge_stair_shifts, bids,
-#                     prune_rows_sorted, peak_candidates or
+#                     prune_row_shifts, peak_candidates or
 #                     merge_enumerated on a size, scaling or ablation
 #                     row; dp_runs or merge_rows_swept on a search
 #                     row. Timing and allocations are
